@@ -24,12 +24,14 @@ race:
 	$(GO) test -race ./...
 
 # race-hot doubles down on the packages with the most schedule-sensitive
-# surface — the scheduler core itself, the collective schedule
-# generators, the proxy engine, the strategy autotuner, the lifecycle
-# orchestrator, and the diagnosis engine (whose recorder tap runs inside
-# span emission) — running them twice under the detector.
+# surface — the scheduler core itself, the transport datapath and the
+# fabric (handler events, pooled flows with generation-checked handles),
+# the collective schedule generators, the proxy engine, the strategy
+# autotuner, the lifecycle orchestrator, and the diagnosis engine (whose
+# recorder tap runs inside span emission) — running them twice under the
+# detector.
 race-hot:
-	$(GO) test -race -count=2 ./internal/sim/ ./internal/collective/ ./internal/proxy/ ./internal/tuner/ ./internal/orchestrator/ ./internal/diagnosis/ ./internal/remediation/
+	$(GO) test -race -count=2 ./internal/sim/ ./internal/transport/ ./internal/netsim/ ./internal/collective/ ./internal/proxy/ ./internal/tuner/ ./internal/orchestrator/ ./internal/diagnosis/ ./internal/remediation/
 
 # check is the CI gate: everything must build, vet clean, and pass the
 # full test suite twice — once plain, once under the race detector.
@@ -44,22 +46,26 @@ bench:
 	$(GO) test -bench=. -benchtime=1x .
 
 # bench-json runs the root per-figure benchmark suite once and writes
-# the reported metrics as machine-readable BENCH.json records of
-# {bench, metric, value}. CI uploads the file as a build artifact.
+# the reported metrics, allocations (B/op, allocs/op) included, as
+# machine-readable BENCH.json records of {bench, metric, value}. CI
+# uploads the file as a build artifact.
 bench-json:
-	$(GO) test -run '^$$' -bench . -benchtime=1x . | $(GO) run ./cmd/mccs-benchjson > BENCH.json
+	$(GO) test -run '^$$' -bench . -benchtime=1x -benchmem . | $(GO) run ./cmd/mccs-benchjson > BENCH.json
 
 # bench-sim-json measures the scheduler core's hot paths (timer-churn,
-# same-instant-wake, proc-handoff) with allocation reporting and writes
-# BENCH.sim.json; DESIGN.md §10 quotes these entries and CI uploads the
-# file as a build artifact. The pooled paths must report 0 allocs/op
-# (asserted by TestHotPathsDoNotAllocate as well).
+# same-instant-wake, proc-handoff) and the per-message datapath (one
+# message through transport and fabric, BenchmarkDatapath) with
+# allocation reporting and writes BENCH.sim.json; DESIGN.md §10 quotes
+# these entries and CI uploads the file as a build artifact. The pooled
+# paths must report 0 allocs/op (asserted by TestHotPathsDoNotAllocate
+# and TestDatapathDoesNotAllocate as well).
 # The remediation-loop entry measures the full closed detect→diagnose→
 # recover loop (chaos self-heal with the control loop attached) against
 # its no-loop baseline, so control-plane overhead regressions surface in
 # the same artifact.
 bench-sim-json:
 	( $(GO) test -run '^$$' -bench BenchmarkSimCore -benchtime=10000x ./internal/sim/ ; \
+	  $(GO) test -run '^$$' -bench BenchmarkDatapath -benchtime=10000x -benchmem ./internal/transport/ ; \
 	  $(GO) test -run '^$$' -bench 'BenchmarkRemediationLoop|BenchmarkSelfHealBaseline' -benchtime=3x ./internal/remediation/ ) | $(GO) run ./cmd/mccs-benchjson > BENCH.sim.json
 
 # trace records a short Fig. 7 reconfiguration run with the flight

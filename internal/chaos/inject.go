@@ -289,18 +289,14 @@ func injectCongestion(env *harness.Env, sc Scenario, inj *rand.Rand, fl *faultLo
 	fl.add(FaultRecord{Kind: "congestion", Start: sim.Time(at), End: sim.Time(at + dur),
 		Link: int32(l), Rank: -1})
 
-	var bg *netsim.Flow
+	var bg netsim.Flow
 	env.S.At(sim.Time(at), func() {
 		bg = env.Fabric.StartFlow(netsim.FlowOpts{
 			Src: link.From, Dst: link.To, Route: []netsim.LinkID{l},
 			FixedRate: 0.75 * link.Capacity, External: true,
 		})
 	})
-	env.S.At(sim.Time(at+dur), func() {
-		if bg != nil {
-			env.Fabric.CancelFlow(bg)
-		}
-	})
+	env.S.At(sim.Time(at+dur), func() { env.Fabric.CancelFlow(bg) })
 
 	w := policy.NewController(env.Deployment).NewCongestionWatcher()
 	w.Interval = 200 * time.Microsecond

@@ -198,6 +198,11 @@ func runSeed(sc Scenario, seed uint64, opts runOpts) (Result, *DoctorRun) {
 		res.Err = fmt.Errorf("chaos: building testbed: %w", err)
 		return res, &DoctorRun{}
 	}
+	// Tear the world down once results, reports and dumps have been
+	// taken: the run's parked service processes would otherwise keep
+	// their goroutines, and the whole world with them, alive for the rest
+	// of a sweep.
+	defer env.S.Shutdown()
 	rec := trace.Of(env.S)
 	env.S.SetPicker(&fuzzPicker{rng: sched})
 	tr := newTracer()

@@ -426,7 +426,7 @@ func (m *sim11) runJob(p *sim.Proc, j *job) {
 		// All rings' flows start at one virtual instant; the fabric
 		// coalesces the whole batch into a single max-min recompute at
 		// the end of the instant (see DESIGN.md §10).
-		var flows []*netsim.Flow
+		var flows []netsim.Flow
 		for ri, order := range j.rings {
 			var group *netsim.Group
 			if m.cfg.CoupleRings {

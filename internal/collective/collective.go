@@ -271,19 +271,22 @@ func NumRegions(op Op, n int) int {
 func Regions(count int64, n int) (starts, lens []int64) {
 	starts = make([]int64, n)
 	lens = make([]int64, n)
-	base := count / int64(n)
-	rem := count % int64(n)
-	var off int64
 	for i := 0; i < n; i++ {
-		l := base
-		if int64(i) < rem {
-			l++
-		}
-		starts[i] = off
-		lens[i] = l
-		off += l
+		starts[i], lens[i] = Region(count, n, i)
 	}
 	return starts, lens
+}
+
+// Region returns region i of Regions(count, n) arithmetically, without
+// building the tables — the form the per-step datapath uses.
+func Region(count int64, n, i int) (start, length int64) {
+	base := count / int64(n)
+	rem := count % int64(n)
+	k := int64(i)
+	if k < rem {
+		return k * (base + 1), base + 1
+	}
+	return rem*(base+1) + (k-rem)*base, base
 }
 
 // InPlaceAllReduceBytes etc.: size semantics per op, measured the way the

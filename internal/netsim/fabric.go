@@ -23,14 +23,38 @@ type Group struct {
 	// so StartFlow appends; CancelFlow/completion splice. The allocator's
 	// successive-bottleneck loop scans this slice directly instead of
 	// rebuilding and sorting a member list on every iteration.
-	members []*Flow
+	members []*flow
 	// frozen is allocator scratch: set while the group's rate has been
 	// fixed during the current allocate pass. Valid only inside allocate.
 	frozen bool
 }
 
-// Flow is one active transfer on the fabric.
+// Flow is a handle to one transfer on the fabric, returned by StartFlow.
+//
+// Flow state lives in fabric-owned structs that are pooled and reused
+// once a flow has ended (completed or canceled), so starting a flow
+// allocates nothing in steady state. A handle is therefore a value — the
+// struct plus the generation it was issued for — and every method checks
+// the generation first:
+//
+//   - While the struct still holds the handle's flow (running, or ended
+//     but not yet reused) the handle reports the flow's true state.
+//   - Once a later StartFlow reuses the struct, the handle is stale and
+//     inert: CancelFlow ignores it, Finished reports false, Rate and
+//     Transferred report 0, and Done returns an event that has already
+//     fired (the flow has left the fabric). A stale handle never reads
+//     or changes the struct's new occupant.
+//
+// The zero Flow refers to no flow: CancelFlow ignores it and Finished
+// reports false; its other methods must not be called.
 type Flow struct {
+	f   *flow
+	gen uint32
+}
+
+// flow is the pooled state of one transfer. Its fields describe the
+// current (or, once ended, the most recent) occupant.
+type flow struct {
 	ID       int
 	Src, Dst NodeID
 	Route    []LinkID
@@ -41,6 +65,9 @@ type Flow struct {
 	Tag trace.FlowTag
 
 	fb *Fabric
+	// gen counts the struct's occupants; a Flow handle is live while its
+	// gen matches.
+	gen uint32
 	// slot is the flow's index in Fabric.flows (dense, maintained
 	// incrementally). The allocator's scratch buffers are indexed by
 	// slot, so a recompute allocates nothing per flow.
@@ -54,8 +81,12 @@ type Flow struct {
 	external bool    // traffic outside the service's management
 	group    *Group
 
+	// doneEv is created on the first Done call, so flows nobody waits
+	// on (the whole transport datapath) never allocate one. onDone is
+	// fired with doneArg on normal completion (FlowOpts.OnDone).
 	doneEv   *sim.Event
-	onDone   []func()
+	onDone   sim.Handler
+	doneArg  uint64
 	finished bool
 	canceled bool
 
@@ -67,38 +98,60 @@ type Flow struct {
 	traceDone bool
 }
 
-// OnDone registers a callback invoked (in scheduler context) when the flow
-// completes normally. Callbacks registered after completion run
-// immediately.
-func (f *Flow) OnDone(fn func()) {
-	if f.finished {
-		fn()
-		return
+// live returns the handle's flow, or nil if the handle is stale or zero.
+func (h Flow) live() *flow {
+	if h.f == nil || h.f.gen != h.gen {
+		return nil
 	}
-	f.onDone = append(f.onDone, fn)
+	return h.f
 }
 
 // Rate returns the currently allocated rate in bytes per second. Reading
 // it flushes any coalesced recompute, so the value always reflects every
 // mutation made so far this instant.
-func (f *Flow) Rate() float64 {
+func (h Flow) Rate() float64 {
+	f := h.live()
+	if f == nil {
+		return 0
+	}
 	f.fb.flush()
 	return f.rate
 }
 
 // Transferred returns the bytes delivered so far (as of the last fabric
 // update; call Fabric.Sync for an up-to-the-instant figure).
-func (f *Flow) Transferred() float64 {
+func (h Flow) Transferred() float64 {
+	f := h.live()
+	if f == nil {
+		return 0
+	}
 	f.fb.flush()
 	return f.done
 }
 
 // Done returns the completion event; it fires when the full byte demand has
-// been delivered (never, for endless flows, unless canceled).
-func (f *Flow) Done() *sim.Event { return f.doneEv }
+// been delivered (never, for endless flows, unless canceled). For a stale
+// handle it returns an event that has already fired.
+func (h Flow) Done() *sim.Event {
+	f := h.live()
+	if f == nil {
+		return &h.f.fb.ended
+	}
+	if f.doneEv == nil {
+		if f.finished {
+			return &f.fb.ended
+		}
+		f.doneEv = &sim.Event{}
+	}
+	return f.doneEv
+}
 
-// Finished reports whether the flow completed normally.
-func (f *Flow) Finished() bool { return f.finished }
+// Finished reports whether the flow completed normally (false for a stale
+// handle).
+func (h Flow) Finished() bool {
+	f := h.live()
+	return f != nil && f.finished
+}
 
 // FlowOpts configures StartFlow.
 type FlowOpts struct {
@@ -131,6 +184,12 @@ type FlowOpts struct {
 	// Tag labels the flow with the collective step it carries, for the
 	// flight recorder.
 	Tag trace.FlowTag
+	// OnDone, if non-nil, is fired with DoneArg in scheduler context when
+	// the flow completes normally — synchronously inside the completion,
+	// after the fabric has re-allocated rates, so the handler may start
+	// new flows at once. It is never fired for canceled or endless flows.
+	OnDone  sim.Handler
+	DoneArg uint64
 }
 
 // Fabric is the dynamic state of the network: the set of active flows and
@@ -151,7 +210,13 @@ type Fabric struct {
 	// slot field is its index here. IDs are monotonic, so StartFlow
 	// appends and removal splices — the order is maintained
 	// incrementally instead of being rebuilt and sorted per allocation.
-	flows []*Flow
+	flows []*flow
+	// free stacks the pooled flow structs whose flows have ended; StartFlow
+	// reuses them before allocating.
+	free []*flow
+	// ended is fired at construction: Done returns it for flows that
+	// finished before anyone waited, and for stale handles.
+	ended sim.Event
 	// groups holds the coflow groups with at least one active member, in
 	// ascending group-ID order (the allocator's deterministic scan
 	// order).
@@ -165,6 +230,9 @@ type Fabric struct {
 
 	lastUpdate sim.Time
 	timer      sim.Timer
+	// onTimerFn is fb.onTimer, bound once: re-arming the completion
+	// timer with the method value would allocate a closure every time.
+	onTimerFn func()
 
 	// linkRate[l] is the currently allocated aggregate rate on link l,
 	// maintained by recompute for monitoring queries; externalRate[l]
@@ -195,12 +263,12 @@ type Fabric struct {
 	fillLevel  []float64 // current water-fill: rising water level
 	fillDone   []bool    // current water-fill: flow stopped rising
 	// Flow/link scratch:
-	active    []*Flow   // water-fill participant list
+	active    []*flow   // water-fill participant list
 	remCap    []float64 // per-link remaining capacity
 	nActive   []int     // per-link count of unfrozen crossing flows
 	linkMark  []bool    // per-link membership in touched
 	touched   []LinkID  // links crossed by any active flow
-	completed []*Flow   // completion batch, reused by onTimer
+	completed []*flow   // completion batch, reused by onTimer
 }
 
 // NewFabric creates a fabric over the given topology and registers its
@@ -220,6 +288,8 @@ func NewFabric(s *sim.Scheduler, net *Network) *Fabric {
 	fb.telCompleted = reg.Counter("mccs_fabric_flows_completed_total", "flows")
 	fb.telCanceled = reg.Counter("mccs_fabric_flows_canceled_total", "flows")
 	fb.telRecomputes = reg.Counter("mccs_fabric_recomputes_total", "allocations")
+	fb.onTimerFn = fb.onTimer
+	fb.ended.Signal(s)
 	s.OnInstantEnd(fb.flush)
 	return fb
 }
@@ -240,7 +310,7 @@ func (fb *Fabric) NewGroup() *Group {
 // The new flow's rate is computed lazily: starting K flows at one virtual
 // instant costs one allocation, performed before the first rate read or
 // the end of the instant, whichever comes first.
-func (fb *Fabric) StartFlow(o FlowOpts) *Flow {
+func (fb *Fabric) StartFlow(o FlowOpts) Flow {
 	route := o.Route
 	if route == nil {
 		paths := fb.net.PathsBetween(o.Src, o.Dst)
@@ -265,14 +335,22 @@ func (fb *Fabric) StartFlow(o FlowOpts) *Flow {
 	}
 	fb.progress()
 	fb.nextFlowID++
-	fl := &Flow{
+	var fl *flow
+	if n := len(fb.free); n > 0 {
+		fl = fb.free[n-1]
+		fb.free[n-1] = nil
+		fb.free = fb.free[:n-1]
+	} else {
+		fl = &flow{}
+	}
+	*fl = flow{
 		ID: fb.nextFlowID, Src: o.Src, Dst: o.Dst, Route: route, Label: o.Label,
 		Tag: o.Tag,
-		fb:  fb, slot: len(fb.flows),
+		fb:  fb, gen: fl.gen + 1, slot: len(fb.flows),
 		bytes: bytes, maxRate: maxRate, priority: priority, external: o.External,
 		group:  o.Group,
-		doneEv: &sim.Event{},
-		start:  fb.s.Now(),
+		onDone: o.OnDone, doneArg: o.DoneArg,
+		start: fb.s.Now(),
 	}
 	fb.flows = append(fb.flows, fl)
 	fb.telStarted.Inc()
@@ -287,13 +365,15 @@ func (fb *Fabric) StartFlow(o FlowOpts) *Flow {
 		g.members = append(g.members, fl)
 	}
 	fb.dirty = true
-	return fl
+	return Flow{f: fl, gen: fl.gen}
 }
 
 // CancelFlow removes a flow before completion (its Done event does not
-// fire). Canceling a finished or already-canceled flow is a no-op.
-func (fb *Fabric) CancelFlow(fl *Flow) {
-	if fl.finished || fl.canceled {
+// fire). Canceling a finished, already-canceled, stale or zero handle is a
+// no-op.
+func (fb *Fabric) CancelFlow(h Flow) {
+	fl := h.live()
+	if fl == nil || fl.finished || fl.canceled {
 		return
 	}
 	fb.progress()
@@ -301,14 +381,25 @@ func (fb *Fabric) CancelFlow(fl *Flow) {
 	fb.telCanceled.Inc()
 	fb.emitFlow(fl, trace.Of(fb.s))
 	fb.remove(fl)
+	fb.release(fl)
 	fb.dirty = true
+}
+
+// release returns an ended flow's struct to the pool. The struct keeps
+// describing the ended flow (for handles still holding it) until StartFlow
+// reuses it; only references that would pin garbage are dropped.
+func (fb *Fabric) release(fl *flow) {
+	fl.group = nil
+	fl.onDone = nil
+	fl.samples = nil
+	fb.free = append(fb.free, fl)
 }
 
 // emitFlow records the flow's transmit span: its route, the bytes it
 // delivered, and its full rate/bottleneck history. Each flow emits at
 // most once (completion, cancellation, or FlushTrace, whichever comes
 // first).
-func (fb *Fabric) emitFlow(fl *Flow, rec *trace.Recorder) {
+func (fb *Fabric) emitFlow(fl *flow, rec *trace.Recorder) {
 	if fl.traceDone || !rec.Enabled(trace.KindFlow) {
 		return
 	}
@@ -378,7 +469,7 @@ func (fb *Fabric) removeGroup(g *Group) {
 }
 
 // remove splices fl out of the ID-ordered flow list and its group.
-func (fb *Fabric) remove(fl *Flow) {
+func (fb *Fabric) remove(fl *flow) {
 	i := fl.slot
 	copy(fb.flows[i:], fb.flows[i+1:])
 	fb.flows[len(fb.flows)-1] = nil
@@ -637,14 +728,14 @@ func (fb *Fabric) allocate() {
 		// group, the ID-ordered member scan picks the smallest-ID member
 		// on ties.
 		var pick *Group
-		var pickSlowest *Flow
+		var pickSlowest *flow
 		pickMin := math.Inf(1)
 		for _, g := range fb.groups {
 			if g.frozen {
 				continue
 			}
 			gmin := math.Inf(1)
-			var slowest *Flow
+			var slowest *flow
 			for _, m := range g.members {
 				r := 0.0
 				if !fb.frozenSet[m.slot] {
@@ -911,7 +1002,7 @@ func (fb *Fabric) schedule() {
 	if d < time.Nanosecond {
 		d = time.Nanosecond
 	}
-	fb.timer = fb.s.After(d, fb.onTimer)
+	fb.timer = fb.s.After(d, fb.onTimerFn)
 }
 
 func (fb *Fabric) onTimer() {
@@ -934,13 +1025,17 @@ func (fb *Fabric) onTimer() {
 	}
 	// Flush before signaling so that completion handlers that
 	// immediately start new flows observe a clean, consistent fabric.
+	// Each flow returns to the pool only after its own handler ran, so a
+	// handler's StartFlow cannot reuse a flow whose handler is still due.
 	fb.dirty = true
 	fb.flush()
 	for _, fl := range completed {
-		fl.doneEv.Signal(fb.s)
-		for _, fn := range fl.onDone {
-			fn()
+		if fl.doneEv != nil {
+			fl.doneEv.Signal(fb.s)
 		}
-		fl.onDone = nil
+		if fl.onDone != nil {
+			fl.onDone.Fire(fl.doneArg)
+		}
+		fb.release(fl)
 	}
 }

@@ -64,7 +64,7 @@ func TestTwoFlowsShareFairly(t *testing.T) {
 	s := sim.New()
 	n, a, _, c := lineNet(100*gbps, 100*gbps)
 	fb := NewFabric(s, n)
-	var f1, f2 *Flow
+	var f1, f2 Flow
 	s.Go("app", func(p *sim.Proc) {
 		f1 = fb.StartFlow(FlowOpts{Src: a, Dst: c, Bytes: 1e9})
 		f2 = fb.StartFlow(FlowOpts{Src: a, Dst: c, Bytes: 1e9})
@@ -149,7 +149,7 @@ func TestMaxRateCapFairShare(t *testing.T) {
 		if !almostEq(f1.Rate(), 45*gbps, 1e3) || !almostEq(f2.Rate(), 45*gbps, 1e3) {
 			t.Errorf("rates = %g, %g, want 45/45 around 10G cap", f1.Rate(), f2.Rate())
 		}
-		for _, fl := range []*Flow{f1, f2, f3} {
+		for _, fl := range []Flow{f1, f2, f3} {
 			fb.CancelFlow(fl)
 		}
 	})
@@ -274,7 +274,7 @@ func TestExplicitRoutePinning(t *testing.T) {
 		if !almostEq(f1.Rate(), 50*gbps, 1) || !almostEq(f3.Rate(), 50*gbps, 1) {
 			t.Errorf("collided rates = %g, %g, want halved", f1.Rate(), f3.Rate())
 		}
-		for _, fl := range []*Flow{f1, f2, f3} {
+		for _, fl := range []Flow{f1, f2, f3} {
 			fb.CancelFlow(fl)
 		}
 	})
@@ -361,7 +361,7 @@ func TestQuickMaxMinInvariants(t *testing.T) {
 		fb := NewFabric(s, n)
 		ok := true
 		s.Go("app", func(p *sim.Proc) {
-			var flows []*Flow
+			var flows []Flow
 			for i := 0; i < nFlows; i++ {
 				o := FlowOpts{Src: src, Dst: dst, Bytes: 1e12, Label: rng.Uint64()}
 				if rng.Intn(3) == 0 {
@@ -378,11 +378,11 @@ func TestQuickMaxMinInvariants(t *testing.T) {
 			// Work conservation: every flow is either at its cap or
 			// crosses a saturated link.
 			for _, fl := range flows {
-				if fl.maxRate > 0 && almostEq(fl.Rate(), fl.maxRate, 1) {
+				if fl.f.maxRate > 0 && almostEq(fl.Rate(), fl.f.maxRate, 1) {
 					continue
 				}
 				saturated := false
-				for _, l := range fl.Route {
+				for _, l := range fl.f.Route {
 					if fb.LinkUtilization(l) > 1-1e-6 {
 						saturated = true
 						break
@@ -467,7 +467,7 @@ func TestQuickMaxMinRandomFabrics(t *testing.T) {
 		fb := NewFabric(s, n)
 		ok := true
 		s.Go("app", func(p *sim.Proc) {
-			var flows []*Flow
+			var flows []Flow
 			for i := 1 + rng.Intn(12); i > 0; i-- {
 				route := walk()
 				if len(route) == 0 {
@@ -482,9 +482,9 @@ func TestQuickMaxMinRandomFabrics(t *testing.T) {
 				}
 				flows = append(flows, fb.StartFlow(o))
 			}
-			crossing := func(l LinkID) (sum float64, fs []*Flow) {
+			crossing := func(l LinkID) (sum float64, fs []Flow) {
 				for _, fl := range flows {
-					for _, rl := range fl.Route {
+					for _, rl := range fl.f.Route {
 						if rl == l {
 							sum += fl.Rate()
 							fs = append(fs, fl)
@@ -503,11 +503,11 @@ func TestQuickMaxMinRandomFabrics(t *testing.T) {
 				}
 			}
 			for _, fl := range flows {
-				if fl.maxRate > 0 && almostEq(fl.Rate(), fl.maxRate, 1e-6*fl.maxRate+1) {
+				if fl.f.maxRate > 0 && almostEq(fl.Rate(), fl.f.maxRate, 1e-6*fl.f.maxRate+1) {
 					continue
 				}
 				certified := false
-				for _, l := range fl.Route {
+				for _, l := range fl.f.Route {
 					link := n.Link(l)
 					eps := 1e-6 * link.Capacity
 					sum, fs := crossing(l)
@@ -527,7 +527,7 @@ func TestQuickMaxMinRandomFabrics(t *testing.T) {
 					}
 				}
 				if !certified {
-					t.Logf("seed %d: flow %d rate %g has no bottleneck link", seed, fl.ID, fl.Rate())
+					t.Logf("seed %d: flow %d rate %g has no bottleneck link", seed, fl.f.ID, fl.Rate())
 					ok = false
 				}
 			}
@@ -545,6 +545,17 @@ func TestQuickMaxMinRandomFabrics(t *testing.T) {
 	}
 }
 
+// transferredAtDone records each flow's delivered bytes from its
+// completion handler (FlowOpts.OnDone with the flow's index as the
+// argument), while the handle is still live: by the time the test reads
+// the results, later flows may have reused the pooled slots.
+type transferredAtDone struct {
+	flows []Flow
+	got   []float64
+}
+
+func (r *transferredAtDone) Fire(i uint64) { r.got[i] = r.flows[i].Transferred() }
+
 // Property: total delivered bytes equal demand for every completed flow,
 // regardless of arrival jitter.
 func TestQuickByteConservation(t *testing.T) {
@@ -554,27 +565,31 @@ func TestQuickByteConservation(t *testing.T) {
 		s := sim.New()
 		n, a, _, c := lineNet(100*gbps, 50*gbps)
 		fb := NewFabric(s, n)
-		good := true
+		rec := &transferredAtDone{got: make([]float64, nFlows)}
+		var sizes []float64
 		s.Go("app", func(p *sim.Proc) {
-			var flows []*Flow
-			var sizes []float64
 			for i := 0; i < nFlows; i++ {
 				p.Sleep(time.Duration(rng.Intn(1000)) * time.Microsecond)
 				size := float64(1+rng.Intn(100)) * 1e6
 				sizes = append(sizes, size)
-				flows = append(flows, fb.StartFlow(FlowOpts{Src: a, Dst: c, Bytes: size, Label: uint64(i)}))
+				rec.flows = append(rec.flows, fb.StartFlow(FlowOpts{
+					Src: a, Dst: c, Bytes: size, Label: uint64(i),
+					OnDone: rec, DoneArg: uint64(i),
+				}))
 			}
-			for i, fl := range flows {
+			for _, fl := range rec.flows {
 				fl.Done().Wait(p)
-				if !almostEq(fl.Transferred(), sizes[i], 1) {
-					good = false
-				}
 			}
 		})
 		if err := s.Run(); err != nil {
 			return false
 		}
-		return good && fb.ActiveFlows() == 0
+		for i, size := range sizes {
+			if !almostEq(rec.got[i], size, 1) {
+				return false
+			}
+		}
+		return fb.ActiveFlows() == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)

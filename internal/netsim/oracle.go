@@ -24,19 +24,19 @@ import (
 // referenceAllocate computes max-min fair rates with group coupling and
 // rate caps using the retired algorithm. It returns the per-flow rates
 // plus the per-link aggregate and external rate accumulations.
-func (fb *Fabric) referenceAllocate() (map[*Flow]float64, []float64, []float64) {
+func (fb *Fabric) referenceAllocate() (map[*flow]float64, []float64, []float64) {
 	linkRate := make([]float64, fb.net.NumLinks())
 	externalRate := make([]float64, fb.net.NumLinks())
-	result := make(map[*Flow]float64, len(fb.flows))
+	result := make(map[*flow]float64, len(fb.flows))
 	if len(fb.flows) == 0 {
 		return result, linkRate, externalRate
 	}
 	// Committed in flow-ID order: link-rate sums are float accumulations,
 	// and any other order would make their low-order bits diverge from
 	// the optimized allocator's.
-	ordered := append([]*Flow(nil), fb.flows...)
+	ordered := append([]*flow(nil), fb.flows...)
 	sortFlowsByID(ordered)
-	frozen := make(map[*Flow]float64)
+	frozen := make(map[*flow]float64)
 	groupFrozen := make(map[*Group]bool)
 	hasPriority := false
 	for _, fl := range ordered {
@@ -46,13 +46,13 @@ func (fb *Fabric) referenceAllocate() (map[*Flow]float64, []float64, []float64) 
 		}
 	}
 	if hasPriority {
-		prio := fb.referenceWaterfill(ordered, frozen, func(fl *Flow) bool { return fl.priority })
+		prio := fb.referenceWaterfill(ordered, frozen, func(fl *flow) bool { return fl.priority })
 		for fl, r := range prio {
 			frozen[fl] = r
 		}
 	}
 	for {
-		rates := fb.referenceWaterfill(ordered, frozen, func(fl *Flow) bool { return true })
+		rates := fb.referenceWaterfill(ordered, frozen, func(fl *flow) bool { return true })
 		// Find the unfrozen group with the smallest member-minimum rate.
 		var pick *Group
 		pickMin := math.Inf(1)
@@ -62,7 +62,7 @@ func (fb *Fabric) referenceAllocate() (map[*Flow]float64, []float64, []float64) 
 				continue
 			}
 			// Deterministic slowest-member choice on rate ties.
-			members := append([]*Flow(nil), g.members...)
+			members := append([]*flow(nil), g.members...)
 			sortFlowsByID(members)
 			gmin := math.Inf(1)
 			for _, m := range members {
@@ -101,13 +101,13 @@ func (fb *Fabric) referenceAllocate() (map[*Flow]float64, []float64, []float64) 
 // referenceWaterfill is the retired progressive-filling pass: classic
 // water-fill over the non-frozen flows, treating frozen flows as fixed
 // background load, with per-call map/slice scratch.
-func (fb *Fabric) referenceWaterfill(ordered []*Flow, frozen map[*Flow]float64, include func(*Flow) bool) map[*Flow]float64 {
+func (fb *Fabric) referenceWaterfill(ordered []*flow, frozen map[*flow]float64, include func(*flow) bool) map[*flow]float64 {
 	remCap := make([]float64, fb.net.NumLinks())
 	nActive := make([]int, fb.net.NumLinks())
 	touched := make([]LinkID, 0, 64)
 	mark := make([]bool, fb.net.NumLinks())
 
-	active := make([]*Flow, 0, len(ordered))
+	active := make([]*flow, 0, len(ordered))
 	for _, fl := range ordered {
 		if _, ok := frozen[fl]; ok {
 			continue
@@ -143,9 +143,9 @@ func (fb *Fabric) referenceWaterfill(ordered []*Flow, frozen map[*Flow]float64, 
 		}
 	}
 
-	rates := make(map[*Flow]float64, len(active))
-	level := make(map[*Flow]float64, len(active))
-	frozenHere := make(map[*Flow]bool, len(active))
+	rates := make(map[*flow]float64, len(active))
+	level := make(map[*flow]float64, len(active))
+	frozenHere := make(map[*flow]bool, len(active))
 	remaining := len(active)
 
 	for remaining > 0 {
@@ -215,6 +215,6 @@ func (fb *Fabric) referenceWaterfill(ordered []*Flow, frozen map[*Flow]float64, 
 }
 
 // sortFlowsByID sorts flows by ascending ID.
-func sortFlowsByID(fs []*Flow) {
-	slices.SortFunc(fs, func(a, b *Flow) int { return a.ID - b.ID })
+func sortFlowsByID(fs []*flow) {
+	slices.SortFunc(fs, func(a, b *flow) int { return a.ID - b.ID })
 }

@@ -89,7 +89,7 @@ func TestQuickAllocatorMatchesOracle(t *testing.T) {
 		ok := true
 		s.Go("fuzz", func(p *sim.Proc) {
 			groups := []*Group{fb.NewGroup(), fb.NewGroup(), fb.NewGroup()}
-			var flows []*Flow
+			var flows []Flow
 			startBatch := func(k int) {
 				for ; k > 0; k-- {
 					route := walk()

@@ -16,7 +16,7 @@ func TestRunUntilLimitTransferredStaleness(t *testing.T) {
 	s := sim.New()
 	n, a, _, c := lineNet(100*gbps, 100*gbps)
 	fb := NewFabric(s, n)
-	var fl *Flow
+	var fl Flow
 	done := false
 	s.Go("app", func(p *sim.Proc) {
 		fl = fb.StartFlow(FlowOpts{Src: a, Dst: c, Bytes: 125e6}) // 12.5 GB/s -> 10 ms

@@ -115,33 +115,29 @@ func (r *Runner) initialCopy(p *sim.Proc, op *OpRequest, n int) {
 	}
 }
 
-// regionLayout returns the element offsets/lengths of op's data regions
-// over the output buffer.
-func regionLayout(op *OpRequest, n int) (starts, lens []int64) {
+// regionAt returns the element offset and length of data region i of
+// op (one of n ranks) over the output buffer.
+func regionAt(op *OpRequest, n, i int) (start, length int64) {
 	switch op.Op {
 	case collective.AllGather:
-		starts = make([]int64, n)
-		lens = make([]int64, n)
-		for i := range starts {
-			starts[i] = int64(i) * op.Count
-			lens[i] = op.Count
-		}
-		return starts, lens
+		return int64(i) * op.Count, op.Count
 	case collective.Broadcast, collective.Reduce:
-		return []int64{0}, []int64{op.Count}
+		return 0, op.Count
 	default:
-		return collective.Regions(op.Count, n)
+		return collective.Region(op.Count, n, i)
 	}
 }
 
-// channelSlice returns the element sub-range of a region handled by
-// channel ch out of nch (channels split every region evenly).
-func channelSlice(start, length int64, nch, ch int) (int64, int64) {
-	if nch == 1 {
-		return start, length
+// subRange returns part i of the ceil-balanced parts-way split of
+// [off, off+length), and a zero length past the last part. Channels
+// split every region this way, and each channel's chunk is split into
+// pipeline slices the same way.
+func subRange(off, length int64, parts, i int) (int64, int64) {
+	if i >= parts {
+		return 0, 0
 	}
-	starts, lens := collective.Regions(length, nch)
-	return start + starts[ch], lens[ch]
+	start, l := collective.Region(length, parts, i)
+	return off + start, l
 }
 
 // useTree reports whether this op should run on the binomial tree: the
@@ -232,7 +228,7 @@ func (r *Runner) useHD(op *OpRequest, cs *connSet) bool {
 func (r *Runner) runHD(p *sim.Proc, op *OpRequest, cs *connSet, ch int) {
 	n := r.comm.Info.NumRanks()
 	nch := len(cs.conns)
-	chStart, chLen := channelSlice(0, op.Count, nch, ch)
+	chStart, chLen := subRange(0, op.Count, nch, ch)
 	steps := collective.HDSchedule(n, chLen, r.rank)
 	cfg := r.comm.cfg
 
@@ -339,7 +335,6 @@ func (r *Runner) runChannel(p *sim.Proc, op *OpRequest, cs *connSet, ch int) {
 	ring := cs.rings[ch]
 	n := ring.Size()
 	steps := collective.Steps(op.Op, ring, r.rank, op.Root)
-	starts, lens := regionLayout(op, n)
 	nch := len(cs.conns)
 	cfg := r.comm.cfg
 
@@ -376,35 +371,28 @@ func (r *Runner) runChannel(p *sim.Proc, op *OpRequest, cs *connSet, ch int) {
 		}
 		var sOff, sLen, rOff, rLen int64
 		if st.SendRegion >= 0 {
-			sOff, sLen = channelSlice(starts[st.SendRegion], lens[st.SendRegion], nch, ch)
+			start, length := regionAt(op, n, st.SendRegion)
+			sOff, sLen = subRange(start, length, nch, ch)
 		}
 		if st.RecvRegion >= 0 {
-			rOff, rLen = channelSlice(starts[st.RecvRegion], lens[st.RecvRegion], nch, ch)
+			start, length := regionAt(op, n, st.RecvRegion)
+			rOff, rLen = subRange(start, length, nch, ch)
 		}
 		ks := sliceCount(cfg, sLen*4)
 		kr := sliceCount(cfg, rLen*4)
-		var sStarts, sLens, rStarts, rLens []int64
-		if ks > 0 {
-			sStarts, sLens = collective.Regions(sLen, ks)
-		}
-		if kr > 0 {
-			rStarts, rLens = collective.Regions(rLen, kr)
-		}
 		kmax := ks
 		if kr > kmax {
 			kmax = kr
 		}
 		for k := 0; k < kmax; k++ {
-			if k < ks && sLens[k] > 0 {
-				off, l := sOff+sStarts[k], sLens[k]
+			if off, l := subRange(sOff, sLen, ks, k); l > 0 {
 				var data []float32
 				if backed {
 					data = append([]float32(nil), op.RecvBuf.Data()[off:off+l]...)
 				}
 				sendConn.SendTagged(l*4, data, nil, tag)
 			}
-			if k < kr && rLens[k] > 0 {
-				off, l := rOff+rStarts[k], rLens[k]
+			if off, l := subRange(rOff, rLen, kr, k); l > 0 {
 				d := recvConn.Recv(p)
 				passes := 1.0
 				if st.RecvReduce {

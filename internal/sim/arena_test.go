@@ -243,9 +243,48 @@ func TestNoGoroutineLeakAfterPanic(t *testing.T) {
 	settleGoroutines(t, base)
 }
 
+// recordingHandler logs the arguments it is fired with, with the time.
+type recordingHandler struct {
+	s    *Scheduler
+	args []uint64
+	at   []Time
+}
+
+func (h *recordingHandler) Fire(arg uint64) {
+	h.args = append(h.args, arg)
+	h.at = append(h.at, h.s.Now())
+}
+
+// TestCallAtFiresHandler pins the handler event: CallAt/CallAfter fire
+// h.Fire(arg) at the requested time, interleave with At callbacks in
+// scheduling order, clamp past times to now, and are cancelable like any
+// Timer.
+func TestCallAtFiresHandler(t *testing.T) {
+	s := New()
+	h := &recordingHandler{s: s}
+	s.After(time.Millisecond, func() { h.Fire(1) })
+	s.CallAfter(time.Millisecond, h, 2)
+	s.CallAt(Time(time.Millisecond), h, 3)
+	s.CallAt(-5, h, 4) // in the past: fires now
+	s.CallAfter(time.Millisecond, h, 5).Stop()
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	wantArgs := []uint64{4, 1, 2, 3}
+	wantAt := []Time{0, Time(time.Millisecond), Time(time.Millisecond), Time(time.Millisecond)}
+	if len(h.args) != len(wantArgs) {
+		t.Fatalf("fired %v, want %v", h.args, wantArgs)
+	}
+	for i := range wantArgs {
+		if h.args[i] != wantArgs[i] || h.at[i] != wantAt[i] {
+			t.Errorf("firing %d: arg %d at %v, want arg %d at %v", i, h.args[i], h.at[i], wantArgs[i], wantAt[i])
+		}
+	}
+}
+
 // TestHotPathsDoNotAllocate asserts the pooled paths are allocation-free
-// in steady state: timer churn (arm, cancel, fire, recycle) and the
-// Sleep/wake/dispatch cycle.
+// in steady state: timer churn (arm, cancel, fire, recycle), handler
+// events, and the Sleep/wake/dispatch cycle.
 func TestHotPathsDoNotAllocate(t *testing.T) {
 	// Timer churn: two arms, one cancel, one fire per step.
 	s := New()
@@ -263,6 +302,23 @@ func TestHotPathsDoNotAllocate(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(500, timerStep); n != 0 {
 		t.Errorf("timer path allocates %v per op, want 0", n)
+	}
+
+	// Handler path: the same churn through CallAfter.
+	var h nopHandler
+	callStep := func() {
+		doomed := s.CallAfter(time.Microsecond, h, 1)
+		s.CallAfter(time.Microsecond, h, 2)
+		doomed.Stop()
+		if err := s.RunUntil(s.Now().Add(time.Microsecond)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 100; i++ {
+		callStep()
+	}
+	if n := testing.AllocsPerRun(500, callStep); n != 0 {
+		t.Errorf("handler path allocates %v per op, want 0", n)
 	}
 
 	// Wake path: a daemon sleeping in a loop; each step is one wake, one
@@ -285,3 +341,9 @@ func TestHotPathsDoNotAllocate(t *testing.T) {
 		t.Errorf("wake path allocates %v per op, want 0", n)
 	}
 }
+
+// nopHandler is a Handler that does nothing; a zero-size value stored in
+// an interface needs no allocation.
+type nopHandler struct{}
+
+func (nopHandler) Fire(uint64) {}

@@ -31,7 +31,10 @@
 //     events always draw larger sequence numbers).
 //   - The dominant scheduling actions — process start, wakeup, Sleep — are
 //     tagged event kinds interpreted by the loop, not closures, so none of
-//     them allocates a func() per action.
+//     them allocates a func() per action. Layers above schedule their own
+//     per-message work the same way: CallAt/CallAfter fire a Handler with
+//     a uint64 argument, so a long-lived object can multiplex all of its
+//     timed callbacks through one method without a closure per event.
 //
 // The observable schedule — the (at, seq) observer stream, and therefore
 // every same-seed trace, telemetry export and chaos replay — is
@@ -112,8 +115,19 @@ type eventKind uint8
 const (
 	evFn       eventKind = iota // run a user callback (At/After)
 	evDispatch                  // hand the baton to proc
-	evWake                      // ready(proc, wakeSeq, reason) — Sleep and timed waits
+	evWake                      // ready(proc, arg, reason) — Sleep and timed waits
+	evCall                      // h.Fire(arg) — CallAt/CallAfter
 )
+
+// Handler is the target of a closure-free callback event (CallAt,
+// CallAfter). Fire runs in scheduler context with the argument the event
+// was scheduled with. A long-lived object (a transport connection)
+// implements Handler once and encodes which of its callbacks is due, and
+// for which item, in arg — so scheduling one costs no allocation, where a
+// func() closure capturing the same state would cost one per event.
+type Handler interface {
+	Fire(arg uint64)
+}
 
 // event is a scheduled callback slot in the arena. By default events fire
 // in (at, seq) order; seq breaks ties so that events scheduled earlier run
@@ -128,10 +142,11 @@ type event struct {
 	canceled bool
 	inHeap   bool
 
-	fn      func() // evFn
-	proc    *Proc  // evDispatch, evWake
-	wakeSeq uint64 // evWake
-	reason  any    // evWake
+	fn     func()  // evFn
+	h      Handler // evCall
+	proc   *Proc   // evDispatch, evWake
+	arg    uint64  // evWake: the park sequence to wake; evCall: Fire's argument
+	reason any     // evWake
 }
 
 // Timer is a handle to a scheduled callback that can be stopped. The zero
@@ -322,6 +337,7 @@ func (s *Scheduler) recycleEvent(idx int32) {
 	ev := &s.arena[idx]
 	ev.gen++
 	ev.fn = nil
+	ev.h = nil
 	ev.proc = nil
 	ev.reason = nil
 	s.free = append(s.free, idx)
@@ -332,13 +348,13 @@ func (s *Scheduler) recycleEvent(idx int32) {
 // due this very instant. Appending preserves (at, seq) pick order because
 // a new event's seq is larger than every seq already drawn, which is
 // exactly the position the heap round-trip would have given it.
-func (s *Scheduler) schedule(t Time, kind eventKind, fn func(), p *Proc, wakeSeq uint64, reason any) (int32, uint32) {
+func (s *Scheduler) schedule(t Time, kind eventKind, fn func(), h Handler, p *Proc, arg uint64, reason any) (int32, uint32) {
 	s.seq++
 	idx := s.allocEvent()
 	ev := &s.arena[idx]
 	ev.at, ev.seq, ev.kind = t, s.seq, kind
 	ev.canceled = false
-	ev.fn, ev.proc, ev.wakeSeq, ev.reason = fn, p, wakeSeq, reason
+	ev.fn, ev.h, ev.proc, ev.arg, ev.reason = fn, h, p, arg, reason
 	if t == s.now {
 		ev.inHeap = false
 		s.readySet = append(s.readySet, idx)
@@ -476,7 +492,7 @@ func (s *Scheduler) Go(name string, fn func(p *Proc)) *Proc {
 			fn(p)
 		}
 	}()
-	s.schedule(s.now, evDispatch, nil, p, 0, nil)
+	s.schedule(s.now, evDispatch, nil, nil, p, 0, nil)
 	return p
 }
 
@@ -494,7 +510,7 @@ func (s *Scheduler) At(t Time, fn func()) Timer {
 	if t < s.now {
 		t = s.now
 	}
-	idx, gen := s.schedule(t, evFn, fn, nil, 0, nil)
+	idx, gen := s.schedule(t, evFn, fn, nil, nil, 0, nil)
 	return Timer{s: s, idx: idx, gen: gen}
 }
 
@@ -503,11 +519,28 @@ func (s *Scheduler) After(d Duration, fn func()) Timer {
 	return s.At(s.now.Add(d), fn)
 }
 
+// CallAt schedules h.Fire(arg) in scheduler context at time t (or now, if
+// t is in the past). It is At without the closure: the event draws its
+// sequence number exactly as At would, so replacing an At(t, func() {
+// h.Fire(arg) }) with CallAt(t, h, arg) leaves the schedule unchanged.
+func (s *Scheduler) CallAt(t Time, h Handler, arg uint64) Timer {
+	if t < s.now {
+		t = s.now
+	}
+	idx, gen := s.schedule(t, evCall, nil, h, nil, arg, nil)
+	return Timer{s: s, idx: idx, gen: gen}
+}
+
+// CallAfter schedules h.Fire(arg) to run d from now.
+func (s *Scheduler) CallAfter(d Duration, h Handler, arg uint64) Timer {
+	return s.CallAt(s.now.Add(d), h, arg)
+}
+
 // wakeAt schedules a cancellable wakeup for p at time t: when it fires,
 // p is readied with reason iff its park sequence still matches seq. This
 // is the allocation-free backing for Sleep and timed waits.
 func (s *Scheduler) wakeAt(t Time, p *Proc, seq uint64, reason any) Timer {
-	idx, gen := s.schedule(t, evWake, nil, p, seq, reason)
+	idx, gen := s.schedule(t, evWake, nil, nil, p, seq, reason)
 	return Timer{s: s, idx: idx, gen: gen}
 }
 
@@ -588,7 +621,7 @@ func (s *Scheduler) ready(p *Proc, seq uint64, reason any) {
 	p.state = procRunnable
 	s.dropParked(p)
 	p.wakeReason = reason
-	s.schedule(s.now, evDispatch, nil, p, 0, nil)
+	s.schedule(s.now, evDispatch, nil, nil, p, 0, nil)
 }
 
 // Sleep suspends the process for d of virtual time.
@@ -783,7 +816,7 @@ func (s *Scheduler) RunUntil(limit Time) (err error) {
 		}
 		// Snapshot and recycle before firing: the callback may allocate
 		// new events into this very slot.
-		seq, kind, fn, proc, wakeSeq, reason := ev.seq, ev.kind, ev.fn, ev.proc, ev.wakeSeq, ev.reason
+		seq, kind, fn, h, proc, arg, reason := ev.seq, ev.kind, ev.fn, ev.h, ev.proc, ev.arg, ev.reason
 		s.recycleEvent(idx)
 		s.committed = len(s.readySet)
 		if s.observer != nil {
@@ -793,7 +826,9 @@ func (s *Scheduler) RunUntil(limit Time) (err error) {
 		case evDispatch:
 			s.dispatch(proc)
 		case evWake:
-			s.ready(proc, wakeSeq, reason)
+			s.ready(proc, arg, reason)
+		case evCall:
+			h.Fire(arg)
 		default:
 			fn()
 		}

@@ -8,6 +8,14 @@
 // NICs, the analogue of an RDMA queue pair. Sends are asynchronous: bytes
 // become a fabric flow (or an intra-host transfer) and a Delivery is
 // pushed to the receiver when the transfer and its latency complete.
+//
+// The per-message path allocates nothing in steady state. A Conn keeps
+// its messages in a ring buffer indexed by sequence number, from Send
+// until Recv hands them out, and drives every timed step of a message —
+// the TS-gated start, the transfer's completion, the delivery latency —
+// as a closure-free sim.Handler event on the Conn whose argument is the
+// message's sequence number (see Conn.Fire). Fabric flows come from the
+// fabric's pool and report completion through the same handler.
 package transport
 
 import (
@@ -160,6 +168,7 @@ func (e *Engine) NewFlowGroup() *netsim.Group { return e.fabric.NewGroup() }
 type Conn struct {
 	eng  *Engine
 	app  spec.AppID
+	gate *Gate // the app's traffic gate on the sending host
 	src  topo.NICID
 	dst  topo.NICID
 	intr bool // both endpoints on one host
@@ -168,35 +177,61 @@ type Conn struct {
 	route []netsim.LinkID
 	label uint64
 
-	inbox   *sim.Queue[Delivery]
-	sendSeq uint64
-	closed  bool
+	closed bool
 
-	// recvSeq/stash re-sequence deliveries whose completion events fired
-	// out of order (see Recv).
-	recvSeq uint64
-	stash   map[uint64]Delivery
+	// msgs holds every message from SendTagged until Recv returns it, at
+	// index seq & (len(msgs)-1); the live window is (recvSeq, sendSeq].
+	// Its length is a power of two, doubled when the window outgrows it.
+	// Events carry a message's seq rather than the message, so each one
+	// finds its own message even when a fuzzing Picker reorders
+	// same-instant events.
+	msgs    []pendingSend
+	sendSeq uint64 // last message queued by SendTagged
+	recvSeq uint64 // last message returned by Recv
 
-	// sendQ serializes messages: a real connection (RDMA QP) transmits
-	// one message at a time in order. Without this, concurrent slices
-	// of one connection would processor-share the path and complete in
-	// a cluster, destroying the slice-level pipelining the collective
-	// engine depends on.
-	sendQ    []pendingSend
+	// startSeq is the last message that left the send FIFO. Messages
+	// (startSeq, sendSeq] are queued: a real connection (RDMA QP)
+	// transmits one message at a time in order. Without this, concurrent
+	// slices of one connection would processor-share the path and
+	// complete in a cluster, destroying the slice-level pipelining the
+	// collective engine depends on.
+	startSeq uint64
 	inFlight bool
+
+	// inbox carries the seqs of delivered messages in delivery order;
+	// Recv re-sequences them. stashed counts the messages delivered ahead
+	// of their turn, which wait in msgs (see Recv).
+	inbox   *sim.Queue[uint64]
+	stashed int
 
 	// telTx is the per-tenant transmit counter, resolved lazily on the
 	// first send (nil, and a no-op, when telemetry is off).
 	telTx *telemetry.Counter
 }
 
+// pendingSend is one message's slot in Conn.msgs.
 type pendingSend struct {
-	bytes int64
-	data  []float32
-	seq   uint64
-	group *netsim.Group
-	tag   trace.FlowTag
+	bytes   int64
+	data    []float32
+	group   *netsim.Group
+	tag     trace.FlowTag
+	txStart sim.Time // intra-host transfer start, for the KindXfer span
+	stashed bool     // delivered ahead of its turn, waiting for Recv
 }
+
+// Conn event kinds. A Conn is the sim.Handler for its own timed steps;
+// the event argument packs the message's seq above the kind.
+const (
+	evStart    = iota // TS gate or send perturbation elapsed: transmit
+	evXferDone        // intra-host transfer finished
+	evFlowDone        // fabric flow finished
+	evDeliver         // per-message latency elapsed: hand to the receiver
+
+	evKindBits = 2
+	evKindMask = 1<<evKindBits - 1
+)
+
+func connEvent(seq, kind uint64) uint64 { return seq<<evKindBits | kind }
 
 // Connect creates a connection from srcNIC (on this engine's host) to
 // dstNIC. routeIdx picks among the equal-cost paths (spec.RouteECMP to let
@@ -207,10 +242,10 @@ func (e *Engine) Connect(app spec.AppID, src, dst topo.NICID, routeIdx int, labe
 		return nil, fmt.Errorf("transport: source NIC %d is not on host %d", src, e.host)
 	}
 	c := &Conn{
-		eng: e, app: app, src: src, dst: dst,
+		eng: e, app: app, gate: e.Gate(app), src: src, dst: dst,
 		intr:  e.cluster.NICs[src].Host == e.cluster.NICs[dst].Host,
 		label: label,
-		inbox: sim.NewQueue[Delivery](),
+		inbox: sim.NewQueue[uint64](),
 	}
 	if !c.intr {
 		if err := c.setRoute(routeIdx); err != nil {
@@ -308,10 +343,13 @@ func (c *Conn) SendTagged(bytes int64, data []float32, group *netsim.Group, tag 
 		c.telTx = c.eng.txCounter(c.app)
 	}
 	c.telTx.Add(bytes)
-	c.sendQ = append(c.sendQ, pendingSend{bytes: bytes, data: data, seq: c.sendSeq, group: group, tag: tag})
+	if c.sendSeq-c.recvSeq > uint64(len(c.msgs)) {
+		c.growMsgs()
+	}
+	*c.msg(c.sendSeq) = pendingSend{bytes: bytes, data: data, group: group, tag: tag}
 	if c.eng.cfg.UnserializedSends {
 		// Ablation mode: transmit everything concurrently.
-		for len(c.sendQ) > 0 {
+		for c.startSeq < c.sendSeq {
 			c.startNext()
 		}
 		return
@@ -321,72 +359,43 @@ func (c *Conn) SendTagged(bytes int64, data []float32, group *netsim.Group, tag 
 	}
 }
 
-// startNext transmits the head of the send queue, respecting the app's
-// TS traffic gate at each message start.
+// msg returns message seq's slot in the ring.
+func (c *Conn) msg(seq uint64) *pendingSend {
+	return &c.msgs[seq&uint64(len(c.msgs)-1)]
+}
+
+// growMsgs doubles the message ring, re-placing the live window
+// (recvSeq, sendSeq) — the message being queued is stored by the caller.
+func (c *Conn) growMsgs() {
+	n := 2 * len(c.msgs)
+	if n == 0 {
+		n = 1
+	}
+	msgs := make([]pendingSend, n)
+	for seq := c.recvSeq + 1; seq < c.sendSeq; seq++ {
+		msgs[seq&uint64(n-1)] = *c.msg(seq)
+	}
+	c.msgs = msgs
+}
+
+// startNext takes the next queued message out of the send FIFO,
+// respecting the app's TS traffic gate (and any send perturbation) at
+// each message start.
 func (c *Conn) startNext() {
-	if len(c.sendQ) == 0 {
+	if c.startSeq == c.sendSeq {
 		c.inFlight = false
 		return
 	}
 	c.inFlight = true
-	msg := c.sendQ[0]
-	c.sendQ = c.sendQ[1:]
+	c.startSeq++
+	seq := c.startSeq
 	e := c.eng
-
-	finish := func() {
-		e.s.After(e.cfg.NetLatency, func() {
-			c.inbox.Push(e.s, Delivery{Bytes: msg.bytes, Data: msg.data, Seq: msg.seq})
-		})
-		c.startNext()
-	}
-
-	start := func() {
-		if c.intr {
-			// Intra-host channel: fixed bandwidth, no fabric contention
-			// (host shared-memory / NVLink is private to the host).
-			txStart := e.s.Now()
-			dur := time.Duration(float64(msg.bytes) / e.cfg.IntraBps * float64(time.Second))
-			e.s.After(dur, func() {
-				if rec := trace.Of(e.s); rec.Enabled(trace.KindXfer) {
-					rec.Emit(trace.Span{
-						Kind: trace.KindXfer, Op: msg.tag.Op,
-						Start: txStart, End: e.s.Now(),
-						Host: int32(e.host), GPU: -1,
-						Comm: msg.tag.Comm, Rank: msg.tag.From, Peer: msg.tag.To,
-						Channel: msg.tag.Channel, Gen: msg.tag.Gen, Step: msg.tag.Step,
-						Seq:   msg.tag.Seq,
-						Bytes: msg.bytes,
-						Src:   int32(c.src), Dst: int32(c.dst),
-					})
-				}
-				e.s.After(e.cfg.IntraLatency, func() {
-					c.inbox.Push(e.s, Delivery{Bytes: msg.bytes, Data: msg.data, Seq: msg.seq})
-				})
-				c.startNext()
-			})
-			return
-		}
-		fl := e.fabric.StartFlow(netsim.FlowOpts{
-			Src:   e.cluster.NICNode(c.src),
-			Dst:   e.cluster.NICNode(c.dst),
-			Bytes: float64(msg.bytes),
-			Route: c.route,
-			// The label is per-connection, not per-message: an RDMA
-			// connection keeps one 5-tuple, so ECMP pins all its
-			// messages to one path. That stickiness is what makes
-			// collisions persistent — and what MCCS route pinning fixes.
-			Label: c.label,
-			Group: msg.group,
-			Tag:   msg.tag,
-		})
-		fl.OnDone(finish)
-	}
 
 	// TS gating: traffic may only start inside the app's allowed windows.
 	now := e.s.Now()
-	at := e.Gate(c.app).NextAllowed(now)
+	at := c.gate.NextAllowed(now)
 	if e.perturb != nil {
-		if d := e.perturb(msg.bytes); d > 0 {
+		if d := e.perturb(c.msg(seq).bytes); d > 0 {
 			if at < now {
 				at = now
 			}
@@ -394,9 +403,72 @@ func (c *Conn) startNext() {
 		}
 	}
 	if at <= now {
-		start()
+		c.transmit(seq)
 	} else {
-		e.s.At(at, start)
+		e.s.CallAt(at, c, connEvent(seq, evStart))
+	}
+}
+
+// transmit puts message seq on the wire: an intra-host transfer or a
+// fabric flow, whose completion comes back as an event on the Conn.
+func (c *Conn) transmit(seq uint64) {
+	e := c.eng
+	m := c.msg(seq)
+	if c.intr {
+		// Intra-host channel: fixed bandwidth, no fabric contention
+		// (host shared-memory / NVLink is private to the host).
+		m.txStart = e.s.Now()
+		dur := time.Duration(float64(m.bytes) / e.cfg.IntraBps * float64(time.Second))
+		e.s.CallAfter(dur, c, connEvent(seq, evXferDone))
+		return
+	}
+	e.fabric.StartFlow(netsim.FlowOpts{
+		Src:   e.cluster.NICNode(c.src),
+		Dst:   e.cluster.NICNode(c.dst),
+		Bytes: float64(m.bytes),
+		Route: c.route,
+		// The label is per-connection, not per-message: an RDMA
+		// connection keeps one 5-tuple, so ECMP pins all its messages to
+		// one path. That stickiness is what makes collisions persistent
+		// — and what MCCS route pinning fixes.
+		Label:   c.label,
+		Group:   m.group,
+		Tag:     m.tag,
+		OnDone:  c,
+		DoneArg: connEvent(seq, evFlowDone),
+	})
+}
+
+// Fire implements sim.Handler: it runs the Conn's timed datapath steps,
+// arg being a message seq packed with an event kind. Only the Conn's own
+// events may call it.
+func (c *Conn) Fire(arg uint64) {
+	seq := arg >> evKindBits
+	e := c.eng
+	switch arg & evKindMask {
+	case evStart:
+		c.transmit(seq)
+	case evXferDone:
+		if rec := trace.Of(e.s); rec.Enabled(trace.KindXfer) {
+			m := c.msg(seq)
+			rec.Emit(trace.Span{
+				Kind: trace.KindXfer, Op: m.tag.Op,
+				Start: m.txStart, End: e.s.Now(),
+				Host: int32(e.host), GPU: -1,
+				Comm: m.tag.Comm, Rank: m.tag.From, Peer: m.tag.To,
+				Channel: m.tag.Channel, Gen: m.tag.Gen, Step: m.tag.Step,
+				Seq:   m.tag.Seq,
+				Bytes: m.bytes,
+				Src:   int32(c.src), Dst: int32(c.dst),
+			})
+		}
+		e.s.CallAfter(e.cfg.IntraLatency, c, connEvent(seq, evDeliver))
+		c.startNext()
+	case evFlowDone:
+		e.s.CallAfter(e.cfg.NetLatency, c, connEvent(seq, evDeliver))
+		c.startNext()
+	case evDeliver:
+		c.inbox.Push(e.s, seq)
 	}
 }
 
@@ -407,23 +479,20 @@ func (c *Conn) startNext() {
 // the scheduler is free to fire same-instant events in any order — the
 // chaos harness's schedule fuzzer exercises exactly that freedom. A real
 // connection (RDMA QP, TCP) still delivers in order, so Recv re-sequences
-// by message sequence number instead of trusting event order.
+// by message sequence number instead of trusting event order: a message
+// delivered ahead of its turn stays in the ring, marked stashed.
 func (c *Conn) Recv(p *sim.Proc) Delivery {
 	for {
-		if d, ok := c.stash[c.recvSeq+1]; ok {
-			delete(c.stash, c.recvSeq+1)
-			c.recvSeq++
-			return d
+		if c.stashed > 0 && c.msg(c.recvSeq+1).stashed {
+			c.stashed--
+			return c.take()
 		}
-		d := c.inbox.Pop(p)
-		if d.Seq == c.recvSeq+1 {
-			c.recvSeq++
-			return d
+		seq := c.inbox.Pop(p)
+		if seq == c.recvSeq+1 {
+			return c.take()
 		}
-		if c.stash == nil {
-			c.stash = make(map[uint64]Delivery)
-		}
-		c.stash[d.Seq] = d
+		c.msg(seq).stashed = true
+		c.stashed++
 		// A stashed delivery is the simulation's analogue of an
 		// out-of-order arrival the receiver had to re-sequence — the
 		// "retries" signal of a real transport.
@@ -431,6 +500,15 @@ func (c *Conn) Recv(p *sim.Proc) Delivery {
 	}
 }
 
+// take hands out message recvSeq+1 and frees its ring slot.
+func (c *Conn) take() Delivery {
+	c.recvSeq++
+	m := c.msg(c.recvSeq)
+	d := Delivery{Bytes: m.bytes, Data: m.data, Seq: c.recvSeq}
+	*m = pendingSend{}
+	return d
+}
+
 // Pending returns the number of undelivered messages queued on the
 // connection.
-func (c *Conn) Pending() int { return c.inbox.Len() + len(c.stash) }
+func (c *Conn) Pending() int { return c.inbox.Len() + c.stashed }

@@ -22,7 +22,7 @@ type rig struct {
 	engines []*Engine
 }
 
-func newRig(t *testing.T) *rig {
+func newRig(t testing.TB) *rig {
 	t.Helper()
 	c, err := topo.BuildClos(topo.TestbedConfig())
 	if err != nil {
