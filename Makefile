@@ -53,12 +53,16 @@ bench-json:
 	$(GO) test -run '^$$' -bench . -benchtime=1x -benchmem . | $(GO) run ./cmd/mccs-benchjson > BENCH.json
 
 # bench-sim-json measures the scheduler core's hot paths (timer-churn,
-# same-instant-wake, proc-handoff) and the per-message datapath (one
-# message through transport and fabric, BenchmarkDatapath) with
-# allocation reporting and writes BENCH.sim.json; DESIGN.md §10 quotes
-# these entries and CI uploads the file as a build artifact. The pooled
-# paths must report 0 allocs/op (asserted by TestHotPathsDoNotAllocate
-# and TestDatapathDoesNotAllocate as well).
+# same-instant-wake, proc-handoff), the per-message datapath (one
+# message through transport and fabric, BenchmarkDatapath) and a warm
+# backed 64 KB / 1 MB ring AllReduce through the proxy
+# (BenchmarkBackedCollective) with allocation reporting and writes
+# BENCH.sim.json; DESIGN.md §10 quotes these entries and CI uploads the
+# file as a build artifact. The pooled paths must report 0 allocs/op
+# (asserted by TestHotPathsDoNotAllocate and TestDatapathDoesNotAllocate
+# as well); a backed collective's B/op stays in the hundreds of bytes,
+# so a per-message payload copy would show as MB/op (pinned by
+# TestBackedCollectiveAllocatesLikeUnbacked).
 # The remediation-loop entry measures the full closed detect→diagnose→
 # recover loop (chaos self-heal with the control loop attached) against
 # its no-loop baseline, so control-plane overhead regressions surface in
@@ -66,6 +70,7 @@ bench-json:
 bench-sim-json:
 	( $(GO) test -run '^$$' -bench BenchmarkSimCore -benchtime=10000x ./internal/sim/ ; \
 	  $(GO) test -run '^$$' -bench BenchmarkDatapath -benchtime=10000x -benchmem ./internal/transport/ ; \
+	  $(GO) test -run '^$$' -bench BenchmarkBackedCollective -benchtime=1000x -benchmem ./internal/proxy/ ; \
 	  $(GO) test -run '^$$' -bench 'BenchmarkRemediationLoop|BenchmarkSelfHealBaseline' -benchtime=3x ./internal/remediation/ ) | $(GO) run ./cmd/mccs-benchjson > BENCH.sim.json
 
 # trace records a short Fig. 7 reconfiguration run with the flight

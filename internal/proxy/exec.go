@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"mccs/internal/collective"
+	"mccs/internal/gpusim"
 	"mccs/internal/sim"
 	"mccs/internal/trace"
 	"mccs/internal/transport"
@@ -115,6 +116,61 @@ func (r *Runner) initialCopy(p *sim.Proc, op *OpRequest, n int) {
 	}
 }
 
+// span returns elements [off, off+n) of buf, or nil when buf is absent
+// or unbacked.
+func span(buf *gpusim.Buffer, off, n int64) []float32 {
+	if buf == nil || !buf.Backed() {
+		return nil
+	}
+	return buf.Data()[off : off+n]
+}
+
+// snapshot copies src into a payload buffer for one message, reusing the
+// most recently released buffer of the communicator (growing it when it
+// is too small); a nil src (unbacked sender) sends no payload. The
+// receiving runner hands the buffer back through consume, so a steady
+// stream of backed collectives recycles a fixed set of buffers, the way
+// NCCL reuses its per-channel staging FIFOs, instead of allocating per
+// message. Sender and receiver of every connection are runners of this
+// communicator, and runners only execute in scheduler context, so the
+// free list needs no lock.
+func (c *Comm) snapshot(src []float32) []float32 {
+	if src == nil {
+		return nil
+	}
+	var buf []float32
+	if n := len(c.free); n > 0 {
+		buf = c.free[n-1]
+		c.free[n-1] = nil
+		c.free = c.free[:n-1]
+	}
+	return append(buf[:0], src...)
+}
+
+// consume folds a received payload into dst, summing when reduce and
+// copying otherwise, and then releases the snapshot to the free list:
+// this is its last read. dst is nil when this rank's buffer is unbacked,
+// and an unbacked sender's delivery carries no snapshot.
+func (r *Runner) consume(dst []float32, d transport.Delivery, reduce bool) {
+	if d.Data == nil {
+		return
+	}
+	if dst != nil {
+		if len(d.Data) != len(dst) {
+			panic(fmt.Sprintf("proxy: payload size mismatch: got %d elems, want %d", len(d.Data), len(dst)))
+		}
+		src := d.Data[:len(dst)]
+		if reduce {
+			for i := range dst {
+				dst[i] += src[i]
+			}
+		} else {
+			copy(dst, src)
+		}
+	}
+	r.comm.free = append(r.comm.free, d.Data)
+}
+
 // regionAt returns the element offset and length of data region i of
 // op (one of n ranks) over the output buffer.
 func regionAt(op *OpRequest, n, i int) (start, length int64) {
@@ -167,7 +223,6 @@ func (r *Runner) runTree(p *sim.Proc, op *OpRequest, cs *connSet) {
 		panic(err)
 	}
 	p.Sleep(r.comm.cfg.KernelLaunch)
-	backed := op.RecvBuf != nil && op.RecvBuf.Backed()
 	for ri, round := range rounds {
 		if !round.Active {
 			// Peers in this round exchange without us; nothing blocks
@@ -179,10 +234,7 @@ func (r *Runner) runTree(p *sim.Proc, op *OpRequest, cs *connSet) {
 		tr := round.T
 		if tr.Send {
 			conn := cs.tree[[2]int{r.rank, tr.Peer}]
-			var data []float32
-			if backed {
-				data = append([]float32(nil), op.RecvBuf.Data()[:op.Count]...)
-			}
+			data := r.comm.snapshot(span(op.RecvBuf, 0, op.Count))
 			conn.SendTagged(op.Count*4, data, nil, trace.FlowTag{
 				Comm: int32(r.comm.Info.ID), From: int32(r.rank), To: int32(tr.Peer),
 				Channel: 0, Gen: int32(r.gen), Step: int32(ri),
@@ -197,16 +249,7 @@ func (r *Runner) runTree(p *sim.Proc, op *OpRequest, cs *connSet) {
 			passes = 2.0
 		}
 		p.Sleep(r.dev.TransferTime(op.Count*4, passes))
-		if d.Data != nil && backed {
-			dst := op.RecvBuf.Data()[:op.Count]
-			if tr.Reduce {
-				for i := range dst {
-					dst[i] += d.Data[i]
-				}
-			} else {
-				copy(dst, d.Data)
-			}
-		}
+		r.consume(span(op.RecvBuf, 0, op.Count), d, tr.Reduce)
 	}
 }
 
@@ -236,7 +279,6 @@ func (r *Runner) runHD(p *sim.Proc, op *OpRequest, cs *connSet, ch int) {
 
 	rec := r.comm.rec
 	traceSteps := rec.Enabled(trace.KindStep)
-	backed := op.RecvBuf != nil && op.RecvBuf.Backed()
 	for si, st := range steps {
 		if !st.Active {
 			continue
@@ -250,10 +292,7 @@ func (r *Runner) runHD(p *sim.Proc, op *OpRequest, cs *connSet, ch int) {
 		if st.SendLen > 0 {
 			conn := cs.hd[ch][[2]int{r.rank, st.Peer}]
 			off, l := chStart+st.SendLo, st.SendLen
-			var data []float32
-			if backed {
-				data = append([]float32(nil), op.RecvBuf.Data()[off:off+l]...)
-			}
+			data := r.comm.snapshot(span(op.RecvBuf, off, l))
 			conn.SendTagged(l*4, data, nil, trace.FlowTag{
 				Comm: int32(r.comm.Info.ID), From: int32(r.rank), To: int32(st.Peer),
 				Channel: int32(ch), Gen: int32(r.gen), Step: int32(si),
@@ -270,20 +309,7 @@ func (r *Runner) runHD(p *sim.Proc, op *OpRequest, cs *connSet, ch int) {
 			dt := r.dev.TransferTime(st.RecvLen*4, passes)
 			p.Sleep(dt)
 			busy += dt
-			if d.Data != nil && backed {
-				off := chStart + st.RecvLo
-				dst := op.RecvBuf.Data()[off : off+st.RecvLen]
-				if int64(len(d.Data)) != st.RecvLen {
-					panic(fmt.Sprintf("proxy: hd size mismatch: got %d elems, want %d", len(d.Data), st.RecvLen))
-				}
-				if st.RecvReduce {
-					for i := range dst {
-						dst[i] += d.Data[i]
-					}
-				} else {
-					copy(dst, d.Data)
-				}
-			}
+			r.consume(span(op.RecvBuf, chStart+st.RecvLo, st.RecvLen), d, st.RecvReduce)
 		}
 		if traceSteps {
 			rec.Emit(trace.Span{
@@ -352,7 +378,6 @@ func (r *Runner) runChannel(p *sim.Proc, op *OpRequest, cs *connSet, ch int) {
 
 	rec := r.comm.rec
 	traceSteps := rec.Enabled(trace.KindStep)
-	backed := op.RecvBuf != nil && op.RecvBuf.Backed()
 	for si, st := range steps {
 		r.comm.telSteps.Inc()
 		// The tag rides every message of this step onto its fabric flow,
@@ -386,11 +411,7 @@ func (r *Runner) runChannel(p *sim.Proc, op *OpRequest, cs *connSet, ch int) {
 		}
 		for k := 0; k < kmax; k++ {
 			if off, l := subRange(sOff, sLen, ks, k); l > 0 {
-				var data []float32
-				if backed {
-					data = append([]float32(nil), op.RecvBuf.Data()[off:off+l]...)
-				}
-				sendConn.SendTagged(l*4, data, nil, tag)
+				sendConn.SendTagged(l*4, r.comm.snapshot(span(op.RecvBuf, off, l)), nil, tag)
 			}
 			if off, l := subRange(rOff, rLen, kr, k); l > 0 {
 				d := recvConn.Recv(p)
@@ -401,19 +422,7 @@ func (r *Runner) runChannel(p *sim.Proc, op *OpRequest, cs *connSet, ch int) {
 				dt := r.dev.TransferTime(l*4, passes)
 				p.Sleep(dt)
 				busy += dt
-				if d.Data != nil && backed {
-					dst := op.RecvBuf.Data()[off : off+l]
-					if int64(len(d.Data)) != l {
-						panic(fmt.Sprintf("proxy: slice size mismatch: got %d elems, want %d", len(d.Data), l))
-					}
-					if st.RecvReduce {
-						for i := range dst {
-							dst[i] += d.Data[i]
-						}
-					} else {
-						copy(dst, d.Data)
-					}
-				}
+				r.consume(span(op.RecvBuf, off, l), d, st.RecvReduce)
 			}
 		}
 		if traceSteps {

@@ -11,7 +11,7 @@ import (
 
 // hdComm builds a communicator whose strategy selects halving-doubling
 // AllReduce with nch channels.
-func (r *rig) hdComm(t *testing.T, gpus []topo.GPUID, nch int, threshold int64) *Comm {
+func (r *rig) hdComm(t testing.TB, gpus []topo.GPUID, nch int, threshold int64) *Comm {
 	t.Helper()
 	info := spec.CommInfo{ID: 3, App: "hd"}
 	for i, g := range gpus {

@@ -65,7 +65,6 @@ func (r *Runner) executeP2P(p *sim.Proc, req *P2PRequest) {
 		panic(fmt.Sprintf("proxy: p2p with bad peer %d", req.Peer))
 	}
 	cfg := r.comm.cfg
-	backed := req.Buf != nil && req.Buf.Backed()
 	p.Sleep(cfg.KernelLaunch)
 
 	k := sliceCount(cfg, req.Count*4)
@@ -79,10 +78,7 @@ func (r *Runner) executeP2P(p *sim.Proc, req *P2PRequest) {
 			if lens[i] == 0 {
 				continue
 			}
-			var data []float32
-			if backed {
-				data = append([]float32(nil), req.Buf.Data()[starts[i]:starts[i]+lens[i]]...)
-			}
+			data := r.comm.snapshot(span(req.Buf, starts[i], lens[i]))
 			conn.SendTagged(lens[i]*4, data, nil, trace.FlowTag{
 				Comm: int32(r.comm.Info.ID), From: int32(r.rank), To: int32(req.Peer),
 				Channel: -1, Gen: -1, Step: int32(i), Op: -1,
@@ -99,13 +95,7 @@ func (r *Runner) executeP2P(p *sim.Proc, req *P2PRequest) {
 			}
 			d := conn.Recv(p)
 			p.Sleep(r.dev.TransferTime(lens[i]*4, 1))
-			if d.Data != nil && backed {
-				dst := req.Buf.Data()[starts[i] : starts[i]+lens[i]]
-				if int64(len(d.Data)) != lens[i] {
-					panic(fmt.Sprintf("proxy: p2p slice mismatch: %d vs %d", len(d.Data), lens[i]))
-				}
-				copy(dst, d.Data)
-			}
+			r.consume(span(req.Buf, starts[i], lens[i]), d, false)
 		}
 	}
 

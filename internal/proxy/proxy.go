@@ -10,6 +10,7 @@ package proxy
 
 import (
 	"fmt"
+	"sort"
 	"time"
 
 	"mccs/internal/collective"
@@ -167,6 +168,10 @@ type Comm struct {
 	// p2p holds communicator-lifetime point-to-point connections (see
 	// p2p.go).
 	p2p map[[2]int]*transport.Conn
+
+	// free holds released payload snapshots for reuse, most recently
+	// released last (see snapshot).
+	free [][]float32
 }
 
 // connSet is one generation of connections: conns[ch][{from,to}] for both
@@ -324,29 +329,53 @@ func connLabel(salt uint64, id spec.CommID, gen, ch, from, to int) uint64 {
 	return h
 }
 
-// UpdateRoutes re-pins connections of the current generation immediately
-// (no barrier): route-only changes are safe because they affect only
-// future messages. This is the FFA/PFA push path.
-func (c *Comm) UpdateRoutes(routes map[spec.ConnKey]int) error {
-	// All runners share a generation outside of reconfigurations; apply
-	// to the newest built generation.
+// newest returns the newest built connection generation. All runners
+// share a generation outside of reconfigurations, so management calls
+// act on this one.
+func (c *Comm) newest() *connSet {
 	maxGen := 0
 	for g := range c.gens {
 		if g > maxGen {
 			maxGen = g
 		}
 	}
-	cs := c.gens[maxGen]
+	return c.gens[maxGen]
+}
+
+// UpdateRoutes re-pins connections of the current generation immediately
+// (no barrier): route-only changes are safe because they affect only
+// future messages. This is the FFA/PFA push path. The update is atomic:
+// every key is validated before any connection moves, so an error leaves
+// every route and the recorded strategy as they were.
+func (c *Comm) UpdateRoutes(routes map[spec.ConnKey]int) error {
+	cs := c.newest()
+	keys := make([]spec.ConnKey, 0, len(routes))
 	for k, idx := range routes {
-		if k.Channel >= len(cs.conns) {
+		if k.Channel < 0 || k.Channel >= len(cs.conns) {
 			return fmt.Errorf("proxy: route for unknown channel %d", k.Channel)
 		}
 		conn, ok := cs.conns[k.Channel][[2]int{k.FromRank, k.ToRank}]
 		if !ok {
 			return fmt.Errorf("proxy: route for unknown conn %d->%d ch %d", k.FromRank, k.ToRank, k.Channel)
 		}
-		if err := conn.SetRoute(idx); err != nil {
-			return err
+		if idx != spec.RouteECMP && (idx < 0 || conn.PathCount() == 0) {
+			return fmt.Errorf("proxy: no path %d for conn %d->%d ch %d", idx, k.FromRank, k.ToRank, k.Channel)
+		}
+		keys = append(keys, k)
+	}
+	sort.Slice(keys, func(i, j int) bool {
+		a, b := keys[i], keys[j]
+		if a.Channel != b.Channel {
+			return a.Channel < b.Channel
+		}
+		if a.FromRank != b.FromRank {
+			return a.FromRank < b.FromRank
+		}
+		return a.ToRank < b.ToRank
+	})
+	for _, k := range keys {
+		if err := cs.conns[k.Channel][[2]int{k.FromRank, k.ToRank}].SetRoute(routes[k]); err != nil {
+			panic(fmt.Sprintf("proxy: validated route rejected: %v", err))
 		}
 	}
 	// Remember the overrides so future reconfigurations keep them.
@@ -364,13 +393,7 @@ func (c *Comm) UpdateRoutes(routes map[spec.ConnKey]int) error {
 // the mapping a congestion watcher needs to attribute link load to
 // communicators.
 func (c *Comm) ConnRoutes() map[spec.ConnKey][]netsim.LinkID {
-	maxGen := 0
-	for g := range c.gens {
-		if g > maxGen {
-			maxGen = g
-		}
-	}
-	cs := c.gens[maxGen]
+	cs := c.newest()
 	out := make(map[spec.ConnKey][]netsim.LinkID)
 	for ci, chConns := range cs.conns {
 		for key, conn := range chConns {
@@ -385,13 +408,7 @@ func (c *Comm) ConnRoutes() map[spec.ConnKey][]netsim.LinkID {
 // PathCountFor returns the equal-cost path count of one connection of the
 // newest generation (0 if unknown).
 func (c *Comm) PathCountFor(k spec.ConnKey) int {
-	maxGen := 0
-	for g := range c.gens {
-		if g > maxGen {
-			maxGen = g
-		}
-	}
-	cs := c.gens[maxGen]
+	cs := c.newest()
 	if k.Channel >= len(cs.conns) {
 		return 0
 	}
@@ -404,13 +421,7 @@ func (c *Comm) PathCountFor(k spec.ConnKey) int {
 
 // Strategy returns the strategy of the newest connection generation.
 func (c *Comm) Strategy() spec.Strategy {
-	maxGen := 0
-	for g := range c.gens {
-		if g > maxGen {
-			maxGen = g
-		}
-	}
-	return c.gens[maxGen].strategy.Clone()
+	return c.newest().strategy.Clone()
 }
 
 // Runner executes one rank of the communicator. It is split the way the

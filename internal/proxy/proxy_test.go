@@ -1,6 +1,7 @@
 package proxy
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -26,7 +27,7 @@ type rig struct {
 	devices map[topo.GPUID]*gpusim.Device
 }
 
-func newRig(t *testing.T) *rig {
+func newRig(t testing.TB) *rig {
 	t.Helper()
 	cluster, err := topo.BuildClos(topo.TestbedConfig())
 	if err != nil {
@@ -53,7 +54,7 @@ func newRig(t *testing.T) *rig {
 
 // commOn builds a communicator over the given GPUs with the given per-
 // channel ring orders.
-func (r *rig) commOn(t *testing.T, gpus []topo.GPUID, orders [][]int) *Comm {
+func (r *rig) commOn(t testing.TB, gpus []topo.GPUID, orders [][]int) *Comm {
 	t.Helper()
 	info := spec.CommInfo{ID: 1, App: "test"}
 	for i, g := range gpus {
@@ -84,7 +85,7 @@ func (r *rig) fourHostGPUs() []topo.GPUID {
 
 // backedBuffers allocates one backed buffer per rank filled with
 // deterministic values and returns them with the expected elementwise sum.
-func backedBuffers(t *testing.T, r *rig, gpus []topo.GPUID, count int64, seed int64) ([]*gpusim.Buffer, []float32) {
+func backedBuffers(t testing.TB, r *rig, gpus []topo.GPUID, count int64, seed int64) ([]*gpusim.Buffer, []float32) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	bufs := make([]*gpusim.Buffer, len(gpus))
@@ -402,6 +403,70 @@ func TestUpdateRoutesImmediate(t *testing.T) {
 	}
 	if err := r.s.Run(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestUpdateRoutesAtomic checks that an update with one bad key moves no
+// connection: every key is validated before any connection is re-pinned,
+// whatever order the map yields them in.
+func TestUpdateRoutesAtomic(t *testing.T) {
+	r := newRig(t)
+	gpus := r.fourHostGPUs()
+	comm := r.commOn(t, gpus, [][]int{{0, 1, 2, 3}})
+	cs := comm.newest()
+	paths := func() map[[2]int]string {
+		out := make(map[[2]int]string)
+		for key, conn := range cs.conns[0] {
+			out[key] = fmt.Sprint(conn.CurrentPath())
+		}
+		return out
+	}
+	// A valid key whose route really moves the connection: rank 1 (rack
+	// 0) to rank 2 (rack 1) has several equal-cost paths.
+	valid := spec.ConnKey{Channel: 0, FromRank: 1, ToRank: 2}
+	conn := cs.conns[0][[2]int{1, 2}]
+	alt := -1
+	for i, p := range r.cluster.PathsBetweenNICs(comm.Info.Ranks[1].NIC, comm.Info.Ranks[2].NIC) {
+		if fmt.Sprint(p) != fmt.Sprint(conn.CurrentPath()) {
+			alt = i
+			break
+		}
+	}
+	if alt < 0 {
+		t.Fatal("no alternative path for conn 1->2")
+	}
+	before := paths()
+	for _, bad := range []struct {
+		key spec.ConnKey
+		idx int
+	}{
+		{spec.ConnKey{Channel: 3, FromRank: 0, ToRank: 1}, 0},  // no such channel
+		{spec.ConnKey{Channel: 0, FromRank: 0, ToRank: 2}, 0},  // no such conn
+		{spec.ConnKey{Channel: 0, FromRank: 2, ToRank: 3}, -7}, // no such path
+	} {
+		// Map order is random; repeat so the valid key comes first in
+		// some of the tries.
+		for try := 0; try < 20; try++ {
+			if err := comm.UpdateRoutes(map[spec.ConnKey]int{valid: alt, bad.key: bad.idx}); err == nil {
+				t.Errorf("update with bad key %+v -> %d accepted", bad.key, bad.idx)
+				break
+			}
+		}
+	}
+	after := paths()
+	for key, p := range before {
+		if after[key] != p {
+			t.Errorf("conn %v moved from %s to %s by a failed update", key, p, after[key])
+		}
+	}
+	if got := comm.Strategy().Routes; len(got) != 0 {
+		t.Errorf("failed updates recorded routes %v", got)
+	}
+	if err := comm.UpdateRoutes(map[spec.ConnKey]int{valid: alt}); err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(conn.CurrentPath()) == before[[2]int{1, 2}] {
+		t.Error("valid update did not move conn 1->2")
 	}
 }
 

@@ -13,7 +13,7 @@ import (
 
 // treeComm builds a communicator with tree collectives enabled below
 // threshold bytes.
-func (r *rig) treeComm(t *testing.T, gpus []topo.GPUID, threshold int64) *Comm {
+func (r *rig) treeComm(t testing.TB, gpus []topo.GPUID, threshold int64) *Comm {
 	t.Helper()
 	info := spec.CommInfo{ID: 2, App: "tree"}
 	for i, g := range gpus {

@@ -60,9 +60,13 @@ func DefaultConfig(intraBps float64) Config {
 // Delivery is one received message.
 type Delivery struct {
 	Bytes int64
-	// Data is a snapshot of the sent elements when the sender's buffer
-	// was backed; nil otherwise. Correctness tests run backed, the
-	// performance harness unbacked.
+	// Data is the sender's snapshot of the sent elements when its buffer
+	// was backed; nil otherwise. The transport passes the slice through
+	// untouched and drops its reference when Recv returns it, so the
+	// receiver owns it from then on: the proxy folds it into its buffer
+	// and recycles it as a later message's snapshot. Correctness tests
+	// and the small-collectives benchmark run backed, the figure
+	// benchmarks unbacked.
 	Data []float32
 	// Seq is the sender-side message sequence number on this Conn.
 	Seq uint64
