@@ -82,12 +82,12 @@ trace:
 
 # telemetry samples the same run through the live metrics plane and
 # renders the operator view: per-tenant goodput, busiest links, SLO
-# violations (DESIGN.md §11).
+# violations (DESIGN.md §9.2).
 telemetry:
 	$(GO) run ./cmd/mccs-reconfig -run 6s -bg 2s -reconfig 4s -telemetry reconfig.telemetry.jsonl
 	$(GO) run ./cmd/mccs-top reconfig.telemetry.jsonl
 
-# doctor runs the online health-diagnosis smoke (DESIGN.md §14): the
+# doctor runs the online health-diagnosis smoke (DESIGN.md §13): the
 # contended Fig. 7 run with the diagnosis engine attached live, writing
 # the incident JSONL CI uploads as an artifact, then replaying the trace
 # through mccs-doctor to print the incident timeline (live and replay
@@ -96,14 +96,14 @@ doctor:
 	$(GO) run ./cmd/mccs-reconfig -run 6s -bg 2s -reconfig 4s -trace doctor.trace.json -telemetry doctor.telemetry.jsonl -doctor doctor.incidents.jsonl
 	$(GO) run ./cmd/mccs-doctor doctor.trace.json doctor.telemetry.jsonl
 
-# self-heal runs the closed-loop recovery smoke (DESIGN.md §15): the
+# self-heal runs the closed-loop recovery smoke (DESIGN.md §14): the
 # chaos self-heal scenario with the diagnosis engine and the remediation
 # daemon attached, sweeping a few seeds and writing the deterministic
 # remediation event log CI uploads as an artifact.
 self-heal:
 	$(GO) run ./cmd/mccs-selfheal -seeds 4 -jsonl selfheal.remediation.jsonl
 
-# churn runs the tenant-lifecycle smoke (DESIGN.md §13): the default
+# churn runs the tenant-lifecycle smoke (DESIGN.md §12): the default
 # 8-job seeded arrival stream with churn-triggered reconfiguration,
 # printing per-job JCT/queueing delay and writing the sampled telemetry
 # series CI uploads as an artifact.

@@ -28,7 +28,7 @@ import (
 // production-profile jobs training concurrently through the service.
 func BenchmarkFig2Breakdown(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		env, err := harness.NewTestbedEnv(ncclsim.MCCS)
+		env, err := harness.NewEnv(harness.EnvConfig{System: ncclsim.MCCS})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -48,6 +48,7 @@ func BenchmarkFig2Breakdown(b *testing.B) {
 		if err := env.S.Run(); err != nil {
 			b.Fatal(err)
 		}
+		env.Close()
 		for _, r := range results {
 			if r.Err != nil {
 				b.Fatal(r.Err)
@@ -109,10 +110,11 @@ func BenchmarkFig7Reconfig(b *testing.B) {
 // BenchmarkFig8MultiApp measures the multi-application fairness run
 // (setup 3, full MCCS).
 func BenchmarkFig8MultiApp(b *testing.B) {
-	env, err := harness.NewTestbedEnv(ncclsim.MCCS)
+	env, err := harness.NewEnv(harness.EnvConfig{System: ncclsim.MCCS})
 	if err != nil {
 		b.Fatal(err)
 	}
+	defer env.Close()
 	apps, err := harness.Setup(env.Cluster, 3)
 	if err != nil {
 		b.Fatal(err)
@@ -309,10 +311,11 @@ func BenchmarkAblationChannels(b *testing.B) {
 // so it reports pure wall-clock per search plus the space size.
 func BenchmarkTuner(b *testing.B) {
 	b.Run("tuner-search", func(b *testing.B) {
-		env, err := harness.NewTestbedEnv(ncclsim.MCCS)
+		env, err := harness.NewEnv(harness.EnvConfig{System: ncclsim.MCCS})
 		if err != nil {
 			b.Fatal(err)
 		}
+		defer env.Close()
 		gpus, err := harness.SingleAppGPUs(env.Cluster, 8)
 		if err != nil {
 			b.Fatal(err)
@@ -353,10 +356,11 @@ func BenchmarkAblationAlgorithms(b *testing.B) {
 		{"allreduce-ring", spec.AlgoRing},
 		{"allreduce-halvingdoubling", spec.AlgoHD},
 	}
-	env, err := harness.NewTestbedEnv(ncclsim.MCCS)
+	env, err := harness.NewEnv(harness.EnvConfig{System: ncclsim.MCCS})
 	if err != nil {
 		b.Fatal(err)
 	}
+	defer env.Close()
 	gpus, err := harness.SingleAppGPUs(env.Cluster, 8)
 	if err != nil {
 		b.Fatal(err)
@@ -390,14 +394,14 @@ func BenchmarkAblationAlgorithms(b *testing.B) {
 }
 
 // BenchmarkDoctorAnalyze measures the health-diagnosis engine itself
-// (DESIGN.md §14): replaying a recorded chaos run — straggler faults,
+// (DESIGN.md §13): replaying a recorded chaos run — straggler faults,
 // thousands of spans — through the full detector pipeline. The run is
 // recorded once outside the timed loop, so the number is pure analysis
 // cost; allocations are reported because the steady-state span path is
 // required to be allocation-free (TestSteadyStateNoAllocs).
 func BenchmarkDoctorAnalyze(b *testing.B) {
 	b.Run("doctor-analyze", func(b *testing.B) {
-		dr := chaos.RunSeedDiagnosed(chaos.DoctorStraggler(), 3)
+		dr := chaos.Run(chaos.DoctorStraggler(), 3, chaos.Opts{Doctor: true})
 		if dr.Failed() {
 			b.Fatal(dr.Err)
 		}
@@ -413,7 +417,7 @@ func BenchmarkDoctorAnalyze(b *testing.B) {
 }
 
 // BenchmarkSchedChurn measures the tenant-lifecycle orchestrator
-// (DESIGN.md §13): the default 8-job churn stream over the Fig. 6
+// (DESIGN.md §12): the default 8-job churn stream over the Fig. 6
 // testbed with churn-triggered FFA reconfiguration, reporting the
 // virtual makespan, cluster GPU utilization, and how many policy
 // recomputes churn triggered.

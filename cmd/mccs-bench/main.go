@@ -7,6 +7,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"os"
 	"strconv"
 	"strings"
 
@@ -23,11 +24,10 @@ func main() {
 	iters := flag.Int("iters", 5, "measured iterations per trial")
 	warmup := flag.Int("warmup", 2, "warmup iterations per trial")
 	trials := flag.Int("trials", 5, "ECMP-salt trials (variance sampling)")
-	tracePath := flag.String("trace", "", "record the first benchmark cell's first trial as Chrome trace-event JSON here")
-	telemetryPath := flag.String("telemetry", "", "sample the first benchmark cell's first trial and write the metrics series here (JSONL; .prom for Prometheus text)")
-	doctorPath := flag.String("doctor", "", "attach the online diagnosis engine to the first benchmark cell's first trial and write its health report here (.jsonl for incident JSONL)")
+	in := harness.InstrumentFlags()
 	autotune := flag.Bool("autotune", false, "add an MCCS(auto) column: full MCCS with the strategy autotuner picking each cell's strategy")
 	flag.Parse()
+	outputs := *in
 
 	sizes, err := parseSizes(*sizesFlag)
 	if err != nil {
@@ -82,22 +82,11 @@ func main() {
 					})
 				}
 				for _, cell := range cells {
-					// Only the very first cell is traced: one full-detail
-					// recording is the debugging artifact; tracing every
-					// cell would just overwrite it. Telemetry follows the
-					// same rule.
-					if *tracePath != "" {
-						cell.TracePath = *tracePath
-						*tracePath = ""
-					}
-					if *telemetryPath != "" {
-						cell.TelemetryPath = *telemetryPath
-						*telemetryPath = ""
-					}
-					if *doctorPath != "" {
-						cell.DoctorPath = *doctorPath
-						*doctorPath = ""
-					}
+					// Only the very first cell is instrumented: one
+					// recording is the debugging artifact; instrumenting
+					// every cell would just overwrite it.
+					cell.Instrument = *in
+					*in = harness.Instrument{}
 					res, err := harness.RunSingleApp(cell)
 					if err != nil {
 						log.Fatalf("%v %v %d: %v", cell.System, op, size, err)
@@ -109,6 +98,7 @@ func main() {
 			}
 		}
 	}
+	outputs.Report(os.Stdout)
 }
 
 func parseSizes(s string) ([]int64, error) {

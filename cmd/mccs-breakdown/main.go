@@ -22,10 +22,11 @@ func main() {
 	iters := flag.Int("iters", 5, "iterations per profile")
 	flag.Parse()
 
-	env, err := harness.NewTestbedEnv(ncclsim.MCCS)
+	env, err := harness.NewEnv(harness.EnvConfig{System: ncclsim.MCCS})
 	if err != nil {
 		log.Fatal(err)
 	}
+	defer env.Close()
 	profiles := workload.ProductGroupProfiles()
 	results := make([]*workload.Result, len(profiles))
 	// Each group trains on its own pair of GPUs (one per rack) so the

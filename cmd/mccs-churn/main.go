@@ -11,6 +11,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"os"
 	"strconv"
 	"strings"
 	"time"
@@ -28,10 +29,7 @@ func main() {
 	autotune := flag.Bool("autotune", false, "re-plan each surviving communicator's strategy on churn")
 	placer := flag.String("placer", "binpack", "placement policy: binpack or rack-spread")
 	quota := flag.String("quota", "", "per-tenant GPU quotas, e.g. tenant-a=4,tenant-b=8")
-	tracePath := flag.String("trace", "", "record the run and write Chrome trace-event JSON here")
-	telemetryPath := flag.String("telemetry", "", "sample the metrics registry and write the series here (JSONL; .prom for Prometheus text)")
-	telemetryEvery := flag.Duration("telemetry-every", 0, "telemetry sampling interval (default 100ms)")
-	doctorPath := flag.String("doctor", "", "attach the online diagnosis engine and write its health report here (.jsonl for incident JSONL)")
+	in := harness.InstrumentFlags()
 	flag.Parse()
 
 	cfg := harness.DefaultChurnConfig()
@@ -40,10 +38,7 @@ func main() {
 	cfg.MeanGap = *meanGap
 	cfg.Reconfigure = !*noReconfig
 	cfg.Autotune = *autotune
-	cfg.TracePath = *tracePath
-	cfg.TelemetryPath = *telemetryPath
-	cfg.TelemetryEvery = *telemetryEvery
-	cfg.DoctorPath = *doctorPath
+	cfg.Instrument = *in
 	switch *placer {
 	case "binpack":
 		cfg.Placer = orchestrator.BinPack{}
@@ -74,13 +69,5 @@ func main() {
 	fmt.Printf("[churn] %d jobs, seed %d, placer %s, reconfig=%v autotune=%v\n\n",
 		cfg.Jobs, cfg.Seed, *placer, cfg.Reconfigure, cfg.Autotune)
 	fmt.Print(harness.FormatChurnTable(res))
-	if *tracePath != "" {
-		fmt.Printf("\ntrace written to %s (view in Perfetto, or: mccs-trace summarize %s)\n", *tracePath, *tracePath)
-	}
-	if *telemetryPath != "" {
-		fmt.Printf("\ntelemetry written to %s (render with: mccs-top %s)\n", *telemetryPath, *telemetryPath)
-	}
-	if *doctorPath != "" {
-		fmt.Printf("\ndoctor report written to %s\n", *doctorPath)
-	}
+	in.Report(os.Stdout)
 }

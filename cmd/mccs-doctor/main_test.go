@@ -25,7 +25,7 @@ func TestReplayPipeline(t *testing.T) {
 	_, err := harness.RunSingleApp(harness.SingleAppConfig{
 		System: ncclsim.MCCS, Op: collective.AllReduce,
 		Bytes: 1 << 20, NumGPUs: 4, Warmup: 1, Iters: 2,
-		TracePath: tracePath, TelemetryPath: telemetryPath, DoctorPath: doctorPath,
+		Instrument: harness.Instrument{TracePath: tracePath, TelemetryPath: telemetryPath, DoctorPath: doctorPath},
 	})
 	if err != nil {
 		t.Fatal(err)

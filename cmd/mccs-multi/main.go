@@ -12,6 +12,7 @@ import (
 	"mccs/internal/harness"
 	"mccs/internal/ncclsim"
 	"mccs/internal/spec"
+	"mccs/internal/topo"
 )
 
 func main() {
@@ -23,12 +24,12 @@ func main() {
 	autotune := flag.Bool("autotune", false, "run the strategy autotuner over every communicator before the measured loops (service-mode systems only)")
 	flag.Parse()
 
-	env, err := harness.NewTestbedEnv(ncclsim.MCCS)
+	testbed, err := topo.BuildClos(topo.TestbedConfig())
 	if err != nil {
 		log.Fatal(err)
 	}
 	for setup := 1; setup <= 4; setup++ {
-		apps, err := harness.Setup(env.Cluster, setup)
+		apps, err := harness.Setup(testbed, setup)
 		if err != nil {
 			log.Fatal(err)
 		}

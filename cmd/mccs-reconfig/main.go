@@ -7,6 +7,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"os"
 	"time"
 
 	"mccs/internal/harness"
@@ -18,11 +19,8 @@ func main() {
 	bgGbps := flag.Float64("bg-gbps", 75, "background flow rate (Gbit/s)")
 	reconfAt := flag.Duration("reconfig", 12*time.Second, "ring reversal time")
 	csv := flag.Bool("csv", false, "emit the full time series as CSV")
-	tracePath := flag.String("trace", "", "record the run and write Chrome trace-event JSON here")
-	telemetryPath := flag.String("telemetry", "", "sample the metrics registry and write the series here (JSONL; .prom for Prometheus text)")
-	telemetryEvery := flag.Duration("telemetry-every", 0, "telemetry sampling interval (default 100ms)")
+	in := harness.InstrumentFlags()
 	autotune := flag.Bool("autotune", false, "replace the scripted ring reversal with a strategy-autotuner pass that reads the background flow off the fabric")
-	doctorPath := flag.String("doctor", "", "attach the online diagnosis engine and write its health report here (.jsonl for incident JSONL)")
 	flag.Parse()
 
 	cfg := harness.DefaultReconfigConfig()
@@ -30,26 +28,15 @@ func main() {
 	cfg.BgStart = *bgStart
 	cfg.BgRate = *bgGbps * 125e6
 	cfg.ReconfigAt = *reconfAt
-	cfg.TracePath = *tracePath
-	cfg.TelemetryPath = *telemetryPath
-	cfg.TelemetryEvery = *telemetryEvery
+	cfg.Instrument = *in
 	cfg.Autotune = *autotune
-	cfg.DoctorPath = *doctorPath
 	res, err := harness.RunReconfigShowcase(cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
-	if *doctorPath != "" {
-		fmt.Printf("doctor report written to %s\n", *doctorPath)
-	}
-	if *tracePath != "" {
-		fmt.Printf("trace written to %s (view in Perfetto, or: mccs-trace summarize %s)\n", *tracePath, *tracePath)
-	}
-	if *telemetryPath != "" {
-		fmt.Printf("telemetry written to %s (render with: mccs-top %s)\n", *telemetryPath, *telemetryPath)
-		if res.Telemetry != nil {
-			fmt.Printf("  %d samples, %d SLO violations\n", len(res.Telemetry.Samples), len(res.Telemetry.Violations))
-		}
+	in.Report(os.Stdout)
+	if res.Telemetry != nil {
+		fmt.Printf("  %d samples, %d SLO violations\n", len(res.Telemetry.Samples), len(res.Telemetry.Violations))
 	}
 
 	fmt.Printf("[Fig. 7] 8-GPU 128MB AllReduce on a 4-switch ring, %d iterations\n", len(res.Series))

@@ -22,6 +22,7 @@ func runTenants(system mccs.System, applyFFA bool) map[mccs.AppID]float64 {
 	if err != nil {
 		log.Fatal(err)
 	}
+	defer env.Close()
 	apps := []mccs.AppID{"tenant-A", "tenant-B"}
 	sums := map[mccs.AppID]float64{}
 	counts := map[mccs.AppID]int{}

@@ -15,6 +15,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	defer env.Close()
 
 	// One GPU per host: ranks 0..3.
 	var gpus []mccs.GPUID

@@ -26,6 +26,7 @@ func trainOnce(system mccs.System) time.Duration {
 	if err != nil {
 		log.Fatal(err)
 	}
+	defer env.Close()
 	// Rank-to-host assignment in the order a topology-oblivious cloud
 	// launcher produces (alternating racks): the NCCL baseline builds
 	// its ring from these ranks and zigzags across racks; MCCS ignores

@@ -238,7 +238,7 @@ func (r Result) String() string {
 		b.WriteString(" ok")
 		return b.String()
 	}
-	fmt.Fprintf(&b, "\n  error: %v\n  trace tail (replay with RunSeed(%s, %#x)):", r.Err, r.Scenario, r.Seed)
+	fmt.Fprintf(&b, "\n  error: %v\n  trace tail (replay with Run(%s, %#x, Opts{})):", r.Err, r.Scenario, r.Seed)
 	for _, e := range r.Tail {
 		fmt.Fprintf(&b, "\n    at=%v seq=%d", time.Duration(e.At), e.Seq)
 	}
@@ -265,13 +265,13 @@ func (s SweepResult) Failures() []Result {
 	return out
 }
 
-// Run sweeps a scenario over the given seeds. Failures carry the seed
+// Sweep runs a scenario over the given seeds. Failures carry the seed
 // and trace tail needed to replay them exactly; use Seeds to build a
 // deterministic seed range.
-func Run(seeds []uint64, sc Scenario) SweepResult {
+func Sweep(seeds []uint64, sc Scenario) SweepResult {
 	out := SweepResult{Scenario: sc.Name}
 	for _, seed := range seeds {
-		out.Results = append(out.Results, RunSeed(sc, seed))
+		out.Results = append(out.Results, Run(sc, seed, Opts{}).Result)
 	}
 	return out
 }

@@ -13,11 +13,11 @@ func TestChaosSweep(t *testing.T) {
 	for _, sc := range Scenarios() {
 		sc := sc
 		t.Run(sc.Name, func(t *testing.T) {
-			first := Run(seeds, sc)
+			first := Sweep(seeds, sc)
 			for _, f := range first.Failures() {
 				t.Errorf("%v", f)
 			}
-			second := Run(seeds, sc)
+			second := Sweep(seeds, sc)
 			for i := range first.Results {
 				a, b := first.Results[i], second.Results[i]
 				if a.TraceHash != b.TraceHash || a.Events != b.Events || a.Failed() != b.Failed() {
@@ -37,7 +37,7 @@ func TestChaosSweep(t *testing.T) {
 // budget. This is the sensitivity check: a chaos harness that cannot
 // catch a known protocol violation proves nothing when it passes.
 func TestChaosCatchesWeakenedProtocol(t *testing.T) {
-	sw := Run(Seeds(1, 40), ReconfigStorm().Weakened())
+	sw := Sweep(Seeds(1, 40), ReconfigStorm().Weakened())
 	fails := sw.Failures()
 	if len(fails) == 0 {
 		t.Fatalf("weakened protocol not detected in %d seeds; the harness has lost sensitivity", len(sw.Results))
@@ -54,11 +54,11 @@ func TestOrchestratorChurnScenario(t *testing.T) {
 	if sc.Churn == 0 {
 		t.Fatal("orchestrator-churn preset submits no jobs")
 	}
-	a := RunSeed(sc, 11)
+	a := Run(sc, 11, Opts{})
 	if a.Failed() {
 		t.Fatalf("seed 11: %v", a)
 	}
-	b := RunSeed(sc, 12)
+	b := Run(sc, 12, Opts{})
 	if b.Failed() {
 		t.Fatalf("seed 12: %v", b)
 	}

@@ -18,7 +18,7 @@ var controlRingReorderSeeds = []uint64{0x14, 0x15, 0x1a, 0x25, 0x28, 0x2c, 0x3b,
 func TestCorpusControlRingReorder(t *testing.T) {
 	sc := ReconfigStorm()
 	for _, seed := range controlRingReorderSeeds {
-		res := RunSeed(sc, seed)
+		res := Run(sc, seed, Opts{})
 		if res.Failed() {
 			t.Errorf("regression (control-ring reorder): %v", res)
 		}
@@ -35,7 +35,7 @@ var transportReorderSeeds = []uint64{0x1, 0x2, 0x3, 0x4, 0x5, 0x6, 0x7, 0x8}
 func TestCorpusTransportReorder(t *testing.T) {
 	sc := Straggler()
 	for _, seed := range transportReorderSeeds {
-		res := RunSeed(sc, seed)
+		res := Run(sc, seed, Opts{})
 		if res.Failed() {
 			t.Errorf("regression (transport reorder): %v", res)
 		}
@@ -50,7 +50,7 @@ var weakenedDetectionSeeds = []uint64{0x1, 0xc, 0x13}
 func TestCorpusWeakenedDetection(t *testing.T) {
 	sc := ReconfigStorm().Weakened()
 	for _, seed := range weakenedDetectionSeeds {
-		res := RunSeed(sc, seed)
+		res := Run(sc, seed, Opts{})
 		if !res.Failed() {
 			t.Errorf("seed 0x%x no longer detects the weakened protocol", seed)
 		}

@@ -184,14 +184,14 @@ func TestDoctorGroundTruth(t *testing.T) {
 	for _, tc := range cases {
 		totalObservable, totalIncidents := 0, 0
 		for _, seed := range tc.seeds {
-			dr := RunSeedDiagnosed(tc.sc, seed)
+			dr := Run(tc.sc, seed, Opts{Doctor: true})
 			if dr.Failed() {
 				t.Fatalf("%s seed %d: run failed: %v", tc.sc.Name, seed, dr.Err)
 			}
 			ops := aggregateOps(dr.Recording)
 			// Precision: every incident is explained by some fault.
-			for i := range dr.Report.Incidents {
-				in := &dr.Report.Incidents[i]
+			for i := range dr.Doctor.Incidents {
+				in := &dr.Doctor.Incidents[i]
 				totalIncidents++
 				matched := false
 				for j := range dr.Faults {
@@ -213,8 +213,8 @@ func TestDoctorGroundTruth(t *testing.T) {
 				}
 				totalObservable++
 				matched := false
-				for i := range dr.Report.Incidents {
-					if compatible(&dr.Report.Incidents[i], f) {
+				for i := range dr.Doctor.Incidents {
+					if compatible(&dr.Doctor.Incidents[i], f) {
 						matched = true
 						break
 					}
@@ -236,12 +236,12 @@ func TestDoctorGroundTruth(t *testing.T) {
 // TestDoctorCleanSeeds pins zero false positives on fault-free runs.
 func TestDoctorCleanSeeds(t *testing.T) {
 	for seed := uint64(1); seed <= 8; seed++ {
-		dr := RunSeedDiagnosed(Clean(), seed)
+		dr := Run(Clean(), seed, Opts{Doctor: true})
 		if dr.Failed() {
 			t.Fatalf("clean seed %d failed: %v", seed, dr.Err)
 		}
-		if n := len(dr.Report.Incidents); n != 0 {
-			t.Errorf("clean seed %d: %d incidents on a fault-free run: %+v", seed, n, dr.Report.Incidents)
+		if n := len(dr.Doctor.Incidents); n != 0 {
+			t.Errorf("clean seed %d: %d incidents on a fault-free run: %+v", seed, n, dr.Doctor.Incidents)
 		}
 		if len(dr.Faults) != 0 {
 			t.Errorf("clean seed %d: fault log not empty: %v", seed, dr.Faults)
@@ -258,7 +258,7 @@ func TestDoctorScheduleNeutral(t *testing.T) {
 		byName[sc.Name] = sc
 	}
 	for _, pin := range pinnedTraceHashes {
-		dr := RunSeedDiagnosed(byName[pin.scenario], pin.seed)
+		dr := Run(byName[pin.scenario], pin.seed, Opts{Doctor: true})
 		if dr.Failed() {
 			t.Errorf("%s seed %d failed with doctor attached: %v", pin.scenario, pin.seed, dr.Err)
 			continue
@@ -274,12 +274,12 @@ func TestDoctorScheduleNeutral(t *testing.T) {
 // produce byte-identical incident JSONL and text reports.
 func TestDoctorReportByteDeterministic(t *testing.T) {
 	render := func() ([]byte, []byte) {
-		dr := RunSeedDiagnosed(DoctorStraggler(), 3)
+		dr := Run(DoctorStraggler(), 3, Opts{Doctor: true})
 		var j, x bytes.Buffer
-		if err := dr.Report.WriteJSONL(&j); err != nil {
+		if err := dr.Doctor.WriteJSONL(&j); err != nil {
 			t.Fatal(err)
 		}
-		if err := dr.Report.WriteText(&x); err != nil {
+		if err := dr.Doctor.WriteText(&x); err != nil {
 			t.Fatal(err)
 		}
 		return j.Bytes(), x.Bytes()

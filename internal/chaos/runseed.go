@@ -89,81 +89,57 @@ type fuzzPicker struct{ rng *rand.Rand }
 
 func (f *fuzzPicker) Pick(n int) int { return f.rng.Intn(n) }
 
-// runOpts selects the optional observers/controllers a run attaches.
-type runOpts struct {
-	// doctor attaches the diagnosis engine live.
-	doctor bool
-	// heal attaches the self-healing remediation engine (implies doctor:
-	// the control loop subscribes to its verdicts) and draws the fault
-	// plan from the dedicated heal PRNG stream instead of inj, so the
-	// self-heal fault corpus is independent of the link-flap corpus.
-	heal    bool
-	healCfg remediation.Config
+// Opts selects the engines a run attaches besides its invariant checks.
+type Opts struct {
+	// Doctor attaches the diagnosis engine live (recorder tap plus
+	// end-of-instant sweeps). The engine schedules no events, so the
+	// run's trace hash is the same as without it; the neutrality test
+	// pins that against the corpus hashes.
+	Doctor bool
+	// Heal attaches the self-healing remediation engine, which implies
+	// Doctor: the control loop subscribes to the doctor's verdicts and to
+	// link health and drives recovery while the faults play out. The
+	// fault plan is drawn from the dedicated heal PRNG stream instead of
+	// the injection stream, so the self-heal fault corpus is independent
+	// of the link-flap corpus.
+	Heal bool
+	// HealConfig tunes the control loop when Heal is set.
+	HealConfig remediation.Config
 }
 
-// RunSeed executes one seeded chaos run and checks every invariant.
-// The same (scenario, seed) pair always produces the identical event
-// trace, so any failure replays exactly.
-func RunSeed(sc Scenario, seed uint64) Result {
-	res, _ := runSeed(sc, seed, runOpts{})
-	return res
-}
-
-// DoctorRun couples a chaos Result with the output of a live-attached
-// diagnosis engine. Recording is the run's final span snapshot, which
-// the ground-truth tests use to decide which injected fault windows were
-// observable.
-type DoctorRun struct {
+// HealRun couples a chaos Result with what the attached engines saw.
+type HealRun struct {
 	Result
-	Report    *diagnosis.Report
+	// Doctor and Recording, the run's final span snapshot, are set when
+	// the diagnosis engine was attached. The ground-truth tests use the
+	// recording to decide which injected fault windows were observable.
+	Doctor    *diagnosis.Report
 	Recording trace.Recording
-	// Remediation and Telemetry (the final Prometheus-format registry
-	// export) are set only on RunSeedHealed runs.
+	// Remediation and Telemetry, the final Prometheus-format registry
+	// export for the byte-determinism check, are set on healed runs.
 	Remediation *remediation.Report
 	Telemetry   []byte
 }
 
-// RunSeedDiagnosed is RunSeed with the diagnosis engine attached live
-// (recorder tap + end-of-instant sweeps). The engine schedules no
-// events, so the run's trace hash is identical to RunSeed's — the
-// neutrality test pins that against the corpus hashes.
-func RunSeedDiagnosed(sc Scenario, seed uint64) DoctorRun {
-	res, dr := runSeed(sc, seed, runOpts{doctor: true})
-	dr.Result = res
-	return *dr
-}
-
-// HealRun couples a chaos Result with the reports of the live-attached
-// diagnosis and remediation engines.
-type HealRun struct {
-	Result
-	Doctor      *diagnosis.Report
-	Remediation *remediation.Report
-	Recording   trace.Recording
-	// Telemetry is the final Prometheus-format registry export, for the
-	// byte-determinism acceptance check.
-	Telemetry []byte
-}
-
-// RunSeedHealed is RunSeed with the full self-healing loop attached:
-// the diagnosis engine taps the flight recorder, and the remediation
-// engine subscribes to its verdicts and to link health, driving
-// recovery while the faults play out. The fault plan is drawn from the
-// dedicated heal PRNG stream.
+// RunSeedHealed runs a seed with the full self-healing loop attached
+// and the default control-loop tuning.
 func RunSeedHealed(sc Scenario, seed uint64) HealRun {
-	return RunSeedHealedConfig(sc, seed, remediation.DefaultConfig())
+	return Run(sc, seed, Opts{Heal: true, HealConfig: remediation.DefaultConfig()})
 }
 
-// RunSeedHealedConfig is RunSeedHealed with explicit control-loop
-// tuning (the flapping-link backoff tests shrink MaxActions).
-func RunSeedHealedConfig(sc Scenario, seed uint64, cfg remediation.Config) HealRun {
-	res, dr := runSeed(sc, seed, runOpts{doctor: true, heal: true, healCfg: cfg})
-	return HealRun{Result: res, Doctor: dr.Report, Recording: dr.Recording,
-		Remediation: dr.Remediation, Telemetry: dr.Telemetry}
+// Run executes one seeded chaos run and checks every invariant. The
+// same (scenario, seed) pair always produces the identical event trace,
+// so any failure replays exactly.
+func Run(sc Scenario, seed uint64, opts Opts) HealRun {
+	hr := HealRun{Result: Result{Scenario: sc.Name, Seed: seed}}
+	hr.Err = runSeed(sc, seed, opts, &hr)
+	return hr
 }
 
-func runSeed(sc Scenario, seed uint64, opts runOpts) (Result, *DoctorRun) {
-	res := Result{Scenario: sc.Name, Seed: seed}
+// runSeed runs the seed, filling in hr as results become available,
+// and returns the first setup error or invariant violation.
+func runSeed(sc Scenario, seed uint64, opts Opts, hr *HealRun) error {
+	res := &hr.Result
 
 	// Independent PRNG streams: workload script, schedule fuzzing, fault
 	// injection, autotuner passes. Distinct odd multipliers keep
@@ -179,30 +155,32 @@ func runSeed(sc Scenario, seed uint64, opts runOpts) (Result, *DoctorRun) {
 	// is drawn only by self-heal runs, which use it in place of inj so
 	// their fault plans are independent of the link-flap corpus.
 	churn := randStream(seed, 0xd6e8feb86659fd93, 5)
-	if opts.heal {
+	if opts.Heal {
 		inj = randStream(seed, 0xda942042e4dd58b5, 6)
 	}
 
 	script, err := buildScript(sc, wrk)
 	if err != nil {
-		res.Err = fmt.Errorf("chaos: building script: %w", err)
-		return res, &DoctorRun{}
+		return fmt.Errorf("chaos: building script: %w", err)
 	}
 
 	led := newLedger()
-	env, err := harness.NewTestbedEnvInstrumented(ncclsim.MCCS, seed, chaosTraceCap, chaosTelemetryEvery, func(c *mccsd.Config) {
-		c.Proxy.ExecObserver = led.observe
-		c.Proxy.UnsafeSkipSeqBarrier = sc.SkipSeqBarrier
+	env, err := harness.NewEnv(harness.EnvConfig{
+		System: ncclsim.MCCS, Salt: seed, TraceCap: chaosTraceCap,
+		Instrument: harness.Instrument{TelemetryEvery: chaosTelemetryEvery},
+		Mutate: func(c *mccsd.Config) {
+			c.Proxy.ExecObserver = led.observe
+			c.Proxy.UnsafeSkipSeqBarrier = sc.SkipSeqBarrier
+		},
 	})
 	if err != nil {
-		res.Err = fmt.Errorf("chaos: building testbed: %w", err)
-		return res, &DoctorRun{}
+		return fmt.Errorf("chaos: building testbed: %w", err)
 	}
 	// Tear the world down once results, reports and dumps have been
 	// taken: the run's parked service processes would otherwise keep
 	// their goroutines, and the whole world with them, alive for the rest
 	// of a sweep.
-	defer env.S.Shutdown()
+	defer env.Close()
 	rec := trace.Of(env.S)
 	env.S.SetPicker(&fuzzPicker{rng: sched})
 	tr := newTracer()
@@ -210,8 +188,7 @@ func runSeed(sc Scenario, seed uint64, opts runOpts) (Result, *DoctorRun) {
 
 	gpus, err := harness.SingleAppGPUs(env.Cluster, sc.Ranks)
 	if err != nil {
-		res.Err = fmt.Errorf("chaos: selecting GPUs: %w", err)
-		return res, &DoctorRun{}
+		return fmt.Errorf("chaos: selecting GPUs: %w", err)
 	}
 
 	rankErrs := make([]error, sc.Ranks)
@@ -230,7 +207,7 @@ func runSeed(sc Scenario, seed uint64, opts runOpts) (Result, *DoctorRun) {
 	// tap sees every span; it schedules no events and consumes no PRNG
 	// draws, so the fuzzed schedule is untouched.
 	var eng *diagnosis.Engine
-	if opts.doctor {
+	if opts.Doctor || opts.Heal {
 		eng = diagnosis.Attach(env.S, rec, telemetry.Of(env.S), diagnosis.DefaultConfig())
 	}
 
@@ -239,8 +216,8 @@ func runSeed(sc Scenario, seed uint64, opts runOpts) (Result, *DoctorRun) {
 	// event past the fault horizon so quarantined links can finish
 	// probation and re-admit before the run drains.
 	var heal *remediation.Engine
-	if opts.heal {
-		heal = remediation.Attach(env.S, env.Deployment, eng, opts.healCfg)
+	if opts.Heal {
+		heal = remediation.Attach(env.S, env.Deployment, eng, opts.HealConfig)
 		stop := &sim.Event{}
 		heal.Start(stop)
 		env.S.At(sim.Time(sc.Horizon+sc.Horizon/2), func() { stop.Signal(env.S) })
@@ -263,24 +240,23 @@ func runSeed(sc Scenario, seed uint64, opts runOpts) (Result, *DoctorRun) {
 	res.Tail = append([]TraceEntry(nil), tr.tail...)
 	res.Faults = fl.recs
 
-	res.Err = checkInvariants(env, sc, led, simErr, rankErrs, finished, scriptComm, orch, churnJobs)
-	if res.Err != nil {
+	err = checkInvariants(env, sc, led, simErr, rankErrs, finished, scriptComm, orch, churnJobs)
+	if err != nil {
 		res.TracePath = dumpTrace(env, rec, sc, seed)
 	}
-	dr := &DoctorRun{}
-	if opts.doctor {
+	if eng != nil {
 		env.Fabric.FlushTrace() // emit any still-running flows before the final snapshot
-		dr.Report = eng.Finish()
-		dr.Recording = rec.Snapshot()
+		hr.Doctor = eng.Finish()
+		hr.Recording = rec.Snapshot()
 	}
-	if opts.heal {
-		dr.Remediation = heal.Finish()
+	if heal != nil {
+		hr.Remediation = heal.Finish()
 		var buf bytes.Buffer
 		if err := telemetry.WritePrometheus(&buf, telemetry.Of(env.S)); err == nil {
-			dr.Telemetry = buf.Bytes()
+			hr.Telemetry = buf.Bytes()
 		}
 	}
-	return res, dr
+	return err
 }
 
 // chaosTraceCap bounds the per-seed flight-recorder ring. Chaos

@@ -244,7 +244,7 @@ func TestSelfHealFlappingBackoff(t *testing.T) {
 	cfg.BackoffMax = 2 * time.Millisecond
 	sawSuppression := false
 	for seed := uint64(1); seed <= 6; seed++ {
-		hr := RunSeedHealedConfig(sc, seed, cfg)
+		hr := Run(sc, seed, Opts{Heal: true, HealConfig: cfg})
 		if hr.Err != nil {
 			t.Fatalf("seed %d: %v", seed, hr.Err)
 		}

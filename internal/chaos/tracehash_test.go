@@ -38,7 +38,7 @@ func TestCorpusTraceHashPinned(t *testing.T) {
 			t.Errorf("pinned scenario %q no longer exists", pin.scenario)
 			continue
 		}
-		res := RunSeed(sc, pin.seed)
+		res := Run(sc, pin.seed, Opts{})
 		if res.Failed() {
 			t.Errorf("%s seed %d failed: %v", pin.scenario, pin.seed, res)
 			continue

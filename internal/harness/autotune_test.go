@@ -54,9 +54,11 @@ func TestAutotuneDecisionVisible(t *testing.T) {
 	cfg := SingleAppConfig{
 		System: ncclsim.MCCS, Op: collective.AllReduce, Bytes: 64 << 20,
 		NumGPUs: 8, Warmup: 1, Iters: 3,
-		Autotune:      true,
-		TracePath:     filepath.Join(dir, "trace.json"),
-		TelemetryPath: filepath.Join(dir, "tel.jsonl"),
+		Autotune: true,
+		Instrument: Instrument{
+			TracePath:     filepath.Join(dir, "trace.json"),
+			TelemetryPath: filepath.Join(dir, "tel.jsonl"),
+		},
 	}
 	if _, err := RunSingleApp(cfg); err != nil {
 		t.Fatal(err)
@@ -95,9 +97,11 @@ func TestAutotuneDeterministic(t *testing.T) {
 		cfg := SingleAppConfig{
 			System: ncclsim.MCCS, Op: collective.AllReduce, Bytes: 16 << 20,
 			NumGPUs: 8, Warmup: 1, Iters: 3, Seed: 7,
-			Autotune:      true,
-			TracePath:     filepath.Join(dir, name+".trace.json"),
-			TelemetryPath: filepath.Join(dir, name+".tel.jsonl"),
+			Autotune: true,
+			Instrument: Instrument{
+				TracePath:     filepath.Join(dir, name+".trace.json"),
+				TelemetryPath: filepath.Join(dir, name+".tel.jsonl"),
+			},
 		}
 		if _, err := RunSingleApp(cfg); err != nil {
 			t.Fatal(err)
@@ -147,10 +151,7 @@ func TestFig7AutotuneRecovers(t *testing.T) {
 // Multi-app autotune: all communicators tuned, run completes, bandwidth
 // stays within the ballpark of the FFA-managed run.
 func TestMultiAppAutotune(t *testing.T) {
-	c, err := NewTestbedEnv(ncclsim.MCCS)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := newTestEnv(t, EnvConfig{System: ncclsim.MCCS})
 	apps, err := Setup(c.Cluster, 1)
 	if err != nil {
 		t.Fatal(err)

@@ -171,12 +171,9 @@ func TestChurnReconfigImprovesSurvivor(t *testing.T) {
 		// Service-mode deployment, but communicators start on the naive
 		// rank-order ring (NCCL's "order of user-specified ranks"): the
 		// recompute has real headroom to claw back.
-		env, err := NewTestbedEnvWith(ncclsim.MCCS, 1, func(c *mccsd.Config) {
+		env := newTestEnv(t, EnvConfig{System: ncclsim.MCCS, Salt: 1, Mutate: func(c *mccsd.Config) {
 			c.Strategy = mccsd.RankOrderStrategy
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
+		}})
 		orch := orchestrator.New(env.S, env.Cluster, env.Deployment, orchestrator.Config{
 			Placer:      zigzagPlacer{},
 			Reconfigure: reconfig,

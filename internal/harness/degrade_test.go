@@ -19,10 +19,7 @@ import (
 // tenant's bandwidth recovers — all without the tenant noticing anything
 // but the dip.
 func TestLinkDegradationReroute(t *testing.T) {
-	env, err := NewTestbedEnv(ncclsim.MCCS)
-	if err != nil {
-		t.Fatal(err)
-	}
+	env := newTestEnv(t, EnvConfig{System: ncclsim.MCCS})
 	d := env.Deployment
 	gpus, err := SingleAppGPUs(env.Cluster, 4)
 	if err != nil {

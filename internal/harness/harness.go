@@ -6,7 +6,9 @@
 package harness
 
 import (
+	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"time"
@@ -27,97 +29,173 @@ import (
 	"mccs/internal/trace"
 )
 
-// Env is one experiment environment.
+// Env is one simulated world: the scheduler, the topology and fabric,
+// and the service deployment on top. NewEnv builds it; whoever built it
+// closes it.
 type Env struct {
 	S          *sim.Scheduler
 	Cluster    *topo.Cluster
 	Fabric     *netsim.Fabric
 	Deployment *mccsd.Deployment
-	// Telemetry is the sim-time sampler when the env was built with a
-	// telemetry interval; nil otherwise.
+	// Telemetry is the sim-time sampler when the world samples
+	// telemetry; nil otherwise.
 	Telemetry *telemetry.Sampler
+	// Doctor is the online diagnosis engine when DoctorPath was set;
+	// nil otherwise.
+	Doctor *diagnosis.Engine
+
+	out Instrument
 }
 
-// NewTestbedEnv builds the paper's 4-host testbed under the given system.
-func NewTestbedEnv(system ncclsim.System) (*Env, error) {
-	return NewTestbedEnvSalted(system, 0)
+// Instrument selects a world's observability planes and the files their
+// outputs go to. NewEnv records a trace when TracePath or DoctorPath is
+// set, samples telemetry when TelemetryPath is set or TelemetryEvery > 0,
+// and attaches the diagnosis engine when DoctorPath is set. None of them
+// schedules events, so an instrumented run is byte-identical to a plain
+// one. Env.WriteOutputs writes every set path once the run is over.
+type Instrument struct {
+	// TracePath receives the full-detail recording as Chrome trace-event
+	// JSON (view in Perfetto or dump with cmd/mccs-trace).
+	TracePath string
+	// TelemetryPath receives the sampled metrics series: JSONL by
+	// default, Prometheus text when the path ends in ".prom".
+	TelemetryPath string
+	// TelemetryEvery is the sampling interval (telemetry.DefaultInterval
+	// when zero). Set without TelemetryPath it still samples; the series
+	// is then only available from the driver's result.
+	TelemetryEvery time.Duration
+	// DoctorPath receives the diagnosis engine's health report: incident
+	// JSONL when the path ends in ".jsonl", the text timeline otherwise.
+	// Implies trace recording.
+	DoctorPath string
 }
 
-// NewTestbedEnvSalted is NewTestbedEnv with an ECMP label salt, letting
-// repeated trials sample the ECMP collision distribution (the paper's
-// shaded percentile bands come from exactly this variance).
-func NewTestbedEnvSalted(system ncclsim.System, salt uint64) (*Env, error) {
-	return newTestbedEnv(system, salt, nil, 0)
+// InstrumentFlags registers -trace, -telemetry and -doctor on the
+// default flag set; flag.Parse fills in the returned block.
+func InstrumentFlags() *Instrument {
+	in := &Instrument{}
+	flag.StringVar(&in.TracePath, "trace", "", "record the run and write Chrome trace-event JSON here")
+	flag.StringVar(&in.TelemetryPath, "telemetry", "", "sample the metrics registry and write the series here (JSONL; .prom for Prometheus text)")
+	flag.StringVar(&in.DoctorPath, "doctor", "", "attach the online diagnosis engine and write its health report here (.jsonl for incident JSONL)")
+	return in
 }
 
-// NewTestbedEnvWith is NewTestbedEnvSalted plus a service-config mutation
-// hook applied before the deployment is built. The chaos harness uses it
-// to install exec observers and protocol weakenings; ablation drivers use
-// it to override individual cost-model knobs.
-func NewTestbedEnvWith(system ncclsim.System, salt uint64, mutate func(*mccsd.Config)) (*Env, error) {
-	return newTestbedEnv(system, salt, mutate, 0)
-}
-
-// NewTestbedEnvTraced is NewTestbedEnvWith with a full-detail flight
-// recorder (ring of traceCap spans; <= 0 selects trace.DefaultCapacity)
-// attached before the deployment is built, so every layer's spans — not
-// just op lifecycles — are captured. The chaos harness uses it to dump
-// the complete schedule of a failing seed.
-func NewTestbedEnvTraced(system ncclsim.System, salt uint64, traceCap int, mutate func(*mccsd.Config)) (*Env, *trace.Recorder, error) {
-	if traceCap <= 0 {
-		traceCap = trace.DefaultCapacity
+// Report prints where each set output was written and what reads it.
+func (in *Instrument) Report(w io.Writer) {
+	if in.TracePath != "" {
+		fmt.Fprintf(w, "trace written to %s (view in Perfetto, or: mccs-trace summarize %s)\n", in.TracePath, in.TracePath)
 	}
-	env, err := newTestbedEnvFull(system, salt, mutate, traceCap, 0)
-	if err != nil {
-		return nil, nil, err
+	if in.TelemetryPath != "" {
+		fmt.Fprintf(w, "telemetry written to %s (render with: mccs-top %s)\n", in.TelemetryPath, in.TelemetryPath)
 	}
-	return env, trace.Of(env.S), nil
-}
-
-// NewTestbedEnvInstrumented is NewTestbedEnvTraced plus a telemetry
-// registry and sampler (telemetryEvery <= 0 selects
-// telemetry.DefaultInterval). The chaos harness uses it to cross-check
-// the metrics plane against its invariants on every seed.
-func NewTestbedEnvInstrumented(system ncclsim.System, salt uint64, traceCap int, telemetryEvery time.Duration, mutate func(*mccsd.Config)) (*Env, error) {
-	if telemetryEvery <= 0 {
-		telemetryEvery = telemetry.DefaultInterval
+	if in.DoctorPath != "" {
+		fmt.Fprintf(w, "doctor report written to %s\n", in.DoctorPath)
 	}
-	return newTestbedEnvFull(system, salt, mutate, traceCap, telemetryEvery)
 }
 
-func newTestbedEnv(system ncclsim.System, salt uint64, mutate func(*mccsd.Config), traceCap int) (*Env, error) {
-	return newTestbedEnvFull(system, salt, mutate, traceCap, 0)
+// EnvConfig describes one world.
+type EnvConfig struct {
+	System ncclsim.System
+	// Salt is the ECMP label salt. Repeated trials with different salts
+	// sample the ECMP collision distribution (the paper's shaded
+	// percentile bands come from exactly this variance).
+	Salt uint64
+	// Cluster is the topology; nil builds the paper's 4-host testbed.
+	Cluster *topo.Cluster
+	// Mutate edits the service config before the deployment is built:
+	// the chaos harness installs exec observers and protocol weakenings,
+	// ablations override cost-model knobs.
+	Mutate func(*mccsd.Config)
+	// TraceCap records a full-detail trace in a ring of TraceCap spans
+	// even without TracePath or DoctorPath. When zero and either path is
+	// set, the ring holds trace.DefaultCapacity spans.
+	TraceCap int
+	Instrument
 }
 
-func newTestbedEnvFull(system ncclsim.System, salt uint64, mutate func(*mccsd.Config), traceCap int, telemetryEvery time.Duration) (*Env, error) {
-	cluster, err := topo.BuildClos(topo.TestbedConfig())
-	if err != nil {
-		return nil, err
+// NewEnv builds a world. The flight recorder and the telemetry registry
+// attach before the fabric and deployment, which cache their handles at
+// construction; the sampler and the diagnosis engine attach last.
+func NewEnv(cfg EnvConfig) (*Env, error) {
+	cluster := cfg.Cluster
+	if cluster == nil {
+		var err error
+		if cluster, err = topo.BuildClos(topo.TestbedConfig()); err != nil {
+			return nil, err
+		}
 	}
 	s := sim.New()
-	if traceCap > 0 {
-		trace.Attach(s, trace.NewRecorder(trace.LevelFull, traceCap))
+	if cfg.TraceCap > 0 || cfg.TracePath != "" || cfg.DoctorPath != "" {
+		capacity := cfg.TraceCap
+		if capacity <= 0 {
+			capacity = trace.DefaultCapacity
+		}
+		trace.Attach(s, trace.NewRecorder(trace.LevelFull, capacity))
 	}
-	// The registry must attach before the fabric and deployment are
-	// built: every layer caches its metric handles at construction.
 	var reg *telemetry.Registry
-	if telemetryEvery > 0 {
+	if cfg.TelemetryPath != "" || cfg.TelemetryEvery > 0 {
 		reg = telemetry.NewRegistry()
 		telemetry.Attach(s, reg)
 	}
 	fabric := netsim.NewFabric(s, cluster.Net)
-	cfg := ncclsim.Config(system)
-	cfg.Proxy.LabelSalt = salt
-	if mutate != nil {
-		mutate(&cfg)
+	svc := ncclsim.Config(cfg.System)
+	svc.Proxy.LabelSalt = cfg.Salt
+	if cfg.Mutate != nil {
+		cfg.Mutate(&svc)
 	}
-	dep := mccsd.NewDeployment(s, cluster, fabric, cfg)
-	env := &Env{S: s, Cluster: cluster, Fabric: fabric, Deployment: dep}
+	dep := mccsd.NewDeployment(s, cluster, fabric, svc)
+	env := &Env{S: s, Cluster: cluster, Fabric: fabric, Deployment: dep, out: cfg.Instrument}
 	if reg != nil {
 		registerTraceDropped(s, reg)
-		env.Telemetry = telemetry.StartSampler(s, reg, telemetryEvery)
+		every := cfg.TelemetryEvery
+		if every <= 0 {
+			every = telemetry.DefaultInterval
+		}
+		env.Telemetry = telemetry.StartSampler(s, reg, every)
+	}
+	if cfg.DoctorPath != "" {
+		var err error
+		if env.Doctor, err = AttachDoctor(s); err != nil {
+			return nil, err
+		}
 	}
 	return env, nil
+}
+
+// NewTestbedEnvInstrumented builds a testbed world that always samples
+// telemetry (telemetryEvery <= 0 selects telemetry.DefaultInterval) and
+// records a trace when traceCap > 0. The benchmark in perfbench calls it.
+func NewTestbedEnvInstrumented(system ncclsim.System, salt uint64, traceCap int, telemetryEvery time.Duration, mutate func(*mccsd.Config)) (*Env, error) {
+	if telemetryEvery <= 0 {
+		telemetryEvery = telemetry.DefaultInterval
+	}
+	return NewEnv(EnvConfig{System: system, Salt: salt, Mutate: mutate, TraceCap: traceCap,
+		Instrument: Instrument{TelemetryEvery: telemetryEvery}})
+}
+
+// Close tears the world down: every live process, parked service
+// daemons included, is unwound and pending events are dropped, so no
+// goroutine keeps the world reachable. Results already taken from it
+// stay valid. Close is idempotent.
+func (e *Env) Close() { e.S.Shutdown() }
+
+// WriteOutputs writes the trace, telemetry and doctor files whose paths
+// the world was built with.
+func (e *Env) WriteOutputs() error {
+	if e.out.TracePath != "" {
+		if err := WriteTraceFile(e.out.TracePath, e.S, e.Fabric); err != nil {
+			return err
+		}
+	}
+	if e.out.TelemetryPath != "" {
+		if err := WriteTelemetryFile(e.out.TelemetryPath, e.Telemetry); err != nil {
+			return err
+		}
+	}
+	if e.out.DoctorPath != "" {
+		return WriteDoctorFile(e.out.DoctorPath, e.Doctor, e.Fabric)
+	}
+	return nil
 }
 
 // registerTraceDropped exports the flight recorder's ring-wrap loss as
@@ -149,15 +227,34 @@ func WriteTraceFile(path string, s *sim.Scheduler, fabric *netsim.Fabric) error 
 	if fabric != nil {
 		fabric.FlushTrace()
 	}
+	return writeFile(path, func(w io.Writer) error { return trace.WriteChrome(w, rec.Snapshot()) })
+}
+
+// writeFile creates path and fills it with write.
+func writeFile(path string, write func(io.Writer) error) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	if err := trace.WriteChrome(f, rec.Snapshot()); err != nil {
+	if err := write(f); err != nil {
 		f.Close()
 		return err
 	}
 	return f.Close()
+}
+
+// writeReport writes a diagnosis or remediation report at path: JSONL
+// when the path ends in ".jsonl", the human-readable text otherwise.
+func writeReport(path string, rep interface {
+	WriteJSONL(io.Writer) error
+	WriteText(io.Writer) error
+}) error {
+	return writeFile(path, func(w io.Writer) error {
+		if strings.HasSuffix(path, ".jsonl") {
+			return rep.WriteJSONL(w)
+		}
+		return rep.WriteText(w)
+	})
 }
 
 // AttachDoctor attaches the online diagnosis engine to a scheduler whose
@@ -184,21 +281,7 @@ func WriteDoctorFile(path string, eng *diagnosis.Engine, fabric *netsim.Fabric) 
 	if fabric != nil {
 		fabric.FlushTrace()
 	}
-	rep := eng.Finish()
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if strings.HasSuffix(path, ".jsonl") {
-		err = rep.WriteJSONL(f)
-	} else {
-		err = rep.WriteText(f)
-	}
-	if err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	return writeReport(path, eng.Finish())
 }
 
 // AttachRemediation attaches the self-healing control loop to an
@@ -224,21 +307,7 @@ func WriteRemediationFile(path string, eng *remediation.Engine) error {
 	if eng == nil {
 		return fmt.Errorf("harness: no remediation engine attached")
 	}
-	rep := eng.Finish()
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if strings.HasSuffix(path, ".jsonl") {
-		err = rep.WriteJSONL(f)
-	} else {
-		err = rep.WriteText(f)
-	}
-	if err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	return writeReport(path, eng.Finish())
 }
 
 // WriteTelemetryFile exports a sampler's series at path: JSONL by
@@ -248,20 +317,12 @@ func WriteTelemetryFile(path string, sm *telemetry.Sampler) error {
 	if sm == nil {
 		return fmt.Errorf("harness: no telemetry sampler attached")
 	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if strings.HasSuffix(path, ".prom") {
-		err = telemetry.WritePrometheus(f, sm.Registry())
-	} else {
-		err = telemetry.WriteJSONL(f, sm)
-	}
-	if err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	return writeFile(path, func(w io.Writer) error {
+		if strings.HasSuffix(path, ".prom") {
+			return telemetry.WritePrometheus(w, sm.Registry())
+		}
+		return telemetry.WriteJSONL(w, sm)
+	})
 }
 
 // InterleavedHosts returns the testbed hosts in rack-interleaved order
@@ -331,22 +392,9 @@ type SingleAppConfig struct {
 	// benchmark observes the per-operation datapath latency; deeper
 	// pipelining overlaps command latency with execution.
 	Pipeline int
-	// TracePath, when set, records the first trial at full detail and
-	// writes Chrome trace-event JSON there (view in Perfetto or dump
-	// with cmd/mccs-trace). Later trials run untraced.
-	TracePath string
-	// TelemetryPath, when set, samples the metrics registry during the
-	// first trial and writes the series there (JSONL by default, ".prom"
-	// selects Prometheus text). Later trials run uninstrumented.
-	TelemetryPath string
-	// TelemetryEvery overrides the sampling interval
-	// (telemetry.DefaultInterval when zero).
-	TelemetryEvery time.Duration
-	// DoctorPath, when set, attaches the online diagnosis engine to the
-	// first trial and writes its health report there (incident JSONL when
-	// the path ends in ".jsonl", text timeline otherwise). Implies trace
-	// recording for that trial; later trials run undoctored.
-	DoctorPath string
+	// Instrument records, samples and diagnoses the first trial and
+	// writes its outputs; later trials run uninstrumented.
+	Instrument
 	// Autotune runs the strategy autotuner once after communicator
 	// setup and installs the winning strategy before the measured loop
 	// (the -autotune flag of mccs-bench). Requires a service-mode
@@ -365,40 +413,7 @@ type SingleAppResult struct {
 // RunSingleApp executes a single-application collective benchmark,
 // pooling per-iteration bandwidth samples across Trials ECMP-salt trials.
 func RunSingleApp(cfg SingleAppConfig) (SingleAppResult, error) {
-	if cfg.Iters <= 0 {
-		cfg.Iters = 10
-	}
-	if cfg.Trials <= 0 {
-		cfg.Trials = 1
-	}
-	if cfg.Pipeline <= 0 {
-		cfg.Pipeline = 1
-	}
-	var algbw []float64
-	for trial := 0; trial < cfg.Trials; trial++ {
-		tcfg := cfg
-		if trial > 0 {
-			tcfg.TracePath = ""
-			tcfg.TelemetryPath = ""
-			tcfg.DoctorPath = ""
-		}
-		vals, err := runSingleTrial(tcfg, cfg.Seed+uint64(trial)*0x9e3779b97f4a7c15)
-		if err != nil {
-			return SingleAppResult{}, err
-		}
-		algbw = append(algbw, vals...)
-	}
-	n := cfg.NumGPUs
-	factor := collective.BusBWFactor(cfg.Op, n)
-	busbw := make([]float64, len(algbw))
-	for i, v := range algbw {
-		busbw[i] = v * factor
-	}
-	return SingleAppResult{
-		Config: cfg,
-		AlgBW:  metrics.Summarize(algbw),
-		BusBW:  metrics.Summarize(busbw),
-	}, nil
+	return runSingleMutated(cfg, nil)
 }
 
 // RunSingleAppWithSlices is RunSingleApp with the proxy's intra-step
@@ -455,11 +470,9 @@ func runSingleMutated(cfg SingleAppConfig, mutate func(*mccsd.Config)) (SingleAp
 	for trial := 0; trial < cfg.Trials; trial++ {
 		tcfg := cfg
 		if trial > 0 {
-			tcfg.TracePath = ""
-			tcfg.TelemetryPath = ""
-			tcfg.DoctorPath = ""
+			tcfg.Instrument = Instrument{}
 		}
-		vals, err := runSingleTrialMutated(tcfg, cfg.Seed+uint64(trial)*0x9e3779b97f4a7c15, mutate)
+		vals, err := runSingleTrial(tcfg, cfg.Seed+uint64(trial)*0x9e3779b97f4a7c15, mutate)
 		if err != nil {
 			return SingleAppResult{}, err
 		}
@@ -477,32 +490,12 @@ func runSingleMutated(cfg SingleAppConfig, mutate func(*mccsd.Config)) (SingleAp
 	}, nil
 }
 
-func runSingleTrial(cfg SingleAppConfig, salt uint64) ([]float64, error) {
-	return runSingleTrialMutated(cfg, salt, nil)
-}
-
-func runSingleTrialMutated(cfg SingleAppConfig, salt uint64, mutate func(*mccsd.Config)) ([]float64, error) {
-	traceCap := 0
-	if cfg.TracePath != "" || cfg.DoctorPath != "" {
-		traceCap = trace.DefaultCapacity
-	}
-	telemetryEvery := time.Duration(0)
-	if cfg.TelemetryPath != "" {
-		telemetryEvery = cfg.TelemetryEvery
-		if telemetryEvery <= 0 {
-			telemetryEvery = telemetry.DefaultInterval
-		}
-	}
-	env, err := newTestbedEnvFull(cfg.System, salt, mutate, traceCap, telemetryEvery)
+func runSingleTrial(cfg SingleAppConfig, salt uint64, mutate func(*mccsd.Config)) ([]float64, error) {
+	env, err := NewEnv(EnvConfig{System: cfg.System, Salt: salt, Mutate: mutate, Instrument: cfg.Instrument})
 	if err != nil {
 		return nil, err
 	}
-	var doctor *diagnosis.Engine
-	if cfg.DoctorPath != "" {
-		if doctor, err = AttachDoctor(env.S); err != nil {
-			return nil, err
-		}
-	}
+	defer env.Close()
 	gpus, err := SingleAppGPUs(env.Cluster, cfg.NumGPUs)
 	if err != nil {
 		return nil, err
@@ -616,20 +609,8 @@ func runSingleTrialMutated(cfg SingleAppConfig, salt uint64, mutate func(*mccsd.
 			return nil, e
 		}
 	}
-	if cfg.TracePath != "" {
-		if err := WriteTraceFile(cfg.TracePath, env.S, env.Fabric); err != nil {
-			return nil, err
-		}
-	}
-	if cfg.TelemetryPath != "" {
-		if err := WriteTelemetryFile(cfg.TelemetryPath, env.Telemetry); err != nil {
-			return nil, err
-		}
-	}
-	if cfg.DoctorPath != "" {
-		if err := WriteDoctorFile(cfg.DoctorPath, doctor, env.Fabric); err != nil {
-			return nil, err
-		}
+	if err := env.WriteOutputs(); err != nil {
+		return nil, err
 	}
 	return algbw, nil
 }
@@ -673,5 +654,3 @@ func gapBandwidth(done []sim.Time, outputBytes int64, warmup int) []float64 {
 	}
 	return out
 }
-
-var _ = spec.RouteECMP // referenced by sibling files

@@ -96,10 +96,7 @@ func TestFig7ReconfigTimeline(t *testing.T) {
 func TestFig8Setup3FairShare(t *testing.T) {
 	// Setup 3 under full MCCS: A (2 NICs/host) should get ~2x the bus
 	// bandwidth of B and C (1 NIC/host each).
-	env, err := NewTestbedEnv(ncclsim.MCCS)
-	if err != nil {
-		t.Fatal(err)
-	}
+	env := newTestEnv(t, EnvConfig{System: ncclsim.MCCS})
 	apps, err := Setup(env.Cluster, 3)
 	if err != nil {
 		t.Fatal(err)
@@ -135,10 +132,7 @@ func TestFig8Setup3FairShare(t *testing.T) {
 
 func TestFig8MCCSBeatsNCCLAggregate(t *testing.T) {
 	for _, setup := range []int{1, 2} {
-		env, err := NewTestbedEnv(ncclsim.NCCL)
-		if err != nil {
-			t.Fatal(err)
-		}
+		env := newTestEnv(t, EnvConfig{System: ncclsim.NCCL})
 		apps, err := Setup(env.Cluster, setup)
 		if err != nil {
 			t.Fatal(err)
@@ -161,10 +155,7 @@ func TestFig8MCCSBeatsNCCLAggregate(t *testing.T) {
 }
 
 func TestSetupsWellFormed(t *testing.T) {
-	env, err := NewTestbedEnv(ncclsim.MCCS)
-	if err != nil {
-		t.Fatal(err)
-	}
+	env := newTestEnv(t, EnvConfig{System: ncclsim.MCCS})
 	seenGPUs := make(map[int]map[int]bool)
 	for s := 1; s <= 4; s++ {
 		apps, err := Setup(env.Cluster, s)

@@ -12,7 +12,6 @@ import (
 	"mccs/internal/policy"
 	"mccs/internal/sim"
 	"mccs/internal/spec"
-	"mccs/internal/telemetry"
 	"mccs/internal/topo"
 )
 
@@ -128,7 +127,7 @@ func RunMultiApp(cfg MultiAppConfig) (MultiAppResult, error) {
 	for trial := 0; trial < cfg.Trials; trial++ {
 		tcfg := cfg
 		if trial > 0 {
-			tcfg.TelemetryPath = ""
+			tcfg.TelemetryPath, tcfg.TelemetryEvery = "", 0
 		}
 		vals, err := runMultiTrial(tcfg, cfg.Seed+uint64(trial)*0x9e3779b97f4a7c15)
 		if err != nil {
@@ -154,17 +153,12 @@ func RunMultiApp(cfg MultiAppConfig) (MultiAppResult, error) {
 }
 
 func runMultiTrial(cfg MultiAppConfig, salt uint64) (map[spec.AppID][]float64, error) {
-	telemetryEvery := time.Duration(0)
-	if cfg.TelemetryPath != "" {
-		telemetryEvery = cfg.TelemetryEvery
-		if telemetryEvery <= 0 {
-			telemetryEvery = telemetry.DefaultInterval
-		}
-	}
-	env, err := newTestbedEnvFull(cfg.System, salt, nil, 0, telemetryEvery)
+	env, err := NewEnv(EnvConfig{System: cfg.System, Salt: salt,
+		Instrument: Instrument{TelemetryPath: cfg.TelemetryPath, TelemetryEvery: cfg.TelemetryEvery}})
 	if err != nil {
 		return nil, err
 	}
+	defer env.Close()
 	for app, prio := range cfg.Priorities {
 		env.Deployment.SetPriority(app, prio)
 	}
@@ -251,10 +245,8 @@ func runMultiTrial(cfg MultiAppConfig, salt uint64) (map[spec.AppID][]float64, e
 	if len(errs) > 0 {
 		return nil, errs[0]
 	}
-	if cfg.TelemetryPath != "" {
-		if err := WriteTelemetryFile(cfg.TelemetryPath, env.Telemetry); err != nil {
-			return nil, err
-		}
+	if err := env.WriteOutputs(); err != nil {
+		return nil, err
 	}
 	out := make(map[spec.AppID][]float64, len(cfg.Apps))
 	for _, a := range cfg.Apps {
@@ -262,5 +254,3 @@ func runMultiTrial(cfg MultiAppConfig, salt uint64) (map[spec.AppID][]float64, e
 	}
 	return out, nil
 }
-
-var _ = mccsd.DefaultConfig

@@ -59,16 +59,6 @@ type QoSResult struct {
 	MeanIter map[spec.AppID]time.Duration
 }
 
-// qosEnv builds the deployment for a QoS run: the full MCCS service, with
-// route pinning disabled for the ECMP solution.
-func qosEnv(sol QoSSolution, salt uint64) (*Env, error) {
-	sys := ncclsim.MCCS
-	if sol == SolutionECMP {
-		sys = ncclsim.MCCSNoFA
-	}
-	return NewTestbedEnvSalted(sys, salt)
-}
-
 // qosPlacement returns the setup-3 jobs: A on both GPUs of one host per
 // rack; B and C on one GPU of each remaining host.
 func qosPlacement(c *topo.Cluster) map[spec.AppID][]topo.GPUID {
@@ -88,10 +78,16 @@ func RunQoS(cfg QoSConfig) (QoSResult, error) {
 	if cfg.IterationsBC <= 0 {
 		cfg.IterationsBC = 20
 	}
-	env, err := qosEnv(cfg.Solution, cfg.Seed)
+	// The ECMP solution is the full MCCS service with route pinning off.
+	sys := ncclsim.MCCS
+	if cfg.Solution == SolutionECMP {
+		sys = ncclsim.MCCSNoFA
+	}
+	env, err := NewEnv(EnvConfig{System: sys, Salt: cfg.Seed})
 	if err != nil {
 		return QoSResult{}, err
 	}
+	defer env.Close()
 	d := env.Deployment
 	d.SetPriority("A", 2)
 	d.SetPriority("B", 1)
@@ -250,10 +246,11 @@ type DynamicResult struct {
 // B and C arrive at t1/t2 under FFA, PFA prioritizes A at t3, TS
 // prioritizes B over C at t4.
 func RunDynamic(cfg DynamicConfig) (DynamicResult, error) {
-	env, err := NewTestbedEnvSalted(ncclsim.MCCS, cfg.Seed)
+	env, err := NewEnv(EnvConfig{System: ncclsim.MCCS, Salt: cfg.Seed})
 	if err != nil {
 		return DynamicResult{}, err
 	}
+	defer env.Close()
 	d := env.Deployment
 	d.SetPriority("A", 2)
 	d.SetPriority("B", 1)

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"mccs/internal/collective"
-	"mccs/internal/diagnosis"
 	"mccs/internal/mccsd"
 	"mccs/internal/ncclsim"
 	"mccs/internal/netsim"
@@ -14,7 +13,6 @@ import (
 	"mccs/internal/spec"
 	"mccs/internal/telemetry"
 	"mccs/internal/topo"
-	"mccs/internal/trace"
 	"mccs/internal/transport"
 )
 
@@ -36,27 +34,14 @@ type ReconfigConfig struct {
 	// (the ablation showing why message serialization matters for
 	// recovery after phase skew).
 	UnserializedConns bool
-	// TracePath, when set, records the run at full detail and writes
-	// Chrome trace-event JSON there. The trace shows the background flow
-	// start, the reconfiguration barrier phases, and the rate recovery.
-	TracePath string
-	// TelemetryPath, when set, samples the metrics registry during the
-	// run and writes the series there (JSONL by default, ".prom" selects
-	// Prometheus text). The series shows link utilization collapsing on
-	// the contended link, the SLO violations it produces, and the
-	// recovery after the ring reversal.
-	TelemetryPath string
-	// TelemetryEvery overrides the sampling interval
-	// (telemetry.DefaultInterval when zero). Setting it with an empty
-	// TelemetryPath still samples — the series is then only available
-	// through ReconfigResult.Telemetry.
-	TelemetryEvery time.Duration
-	// DoctorPath, when set, attaches the online diagnosis engine for the
-	// run and writes its health report there (incident JSONL when the
-	// path ends in ".jsonl", text timeline otherwise). The report shows
-	// the background flow as a degraded/contended-link episode and the
-	// ring reversal as a reconfiguration barrier. Implies trace recording.
-	DoctorPath string
+	// Instrument records, samples and diagnoses the run. The trace shows
+	// the background flow start, the reconfiguration barrier phases and
+	// the rate recovery; the telemetry series shows link utilization
+	// collapsing on the contended link, the SLO violations it produces and
+	// the recovery; the doctor reports the background flow as a
+	// degraded/contended-link episode and the reversal as a
+	// reconfiguration barrier.
+	Instrument
 	// Autotune replaces the hand-coded ring reversal at ReconfigAt with
 	// a full autotuner pass: the cost model reads the background flow's
 	// external load off the fabric and the search rediscovers the
@@ -95,50 +80,36 @@ type ReconfigResult struct {
 	Telemetry *telemetry.Series
 }
 
-// RunReconfigShowcase executes the Fig. 7 experiment.
-func RunReconfigShowcase(cfg ReconfigConfig) (ReconfigResult, error) {
-	cluster, err := topo.BuildSwitchRing(topo.RingConfig{
+// SwitchRing builds the Fig. 7 topology: four switches in a ring, one
+// host with two GPUs and two NICs on each, at cfg's link speeds.
+func SwitchRing(cfg ReconfigConfig) (*topo.Cluster, error) {
+	return topo.BuildSwitchRing(topo.RingConfig{
 		Switches: 4, GPUsPerHost: 2, NICsPerHost: 2,
 		NICBps: cfg.NICBps, SwitchBps: cfg.SwitchBps,
 	})
+}
+
+// RunReconfigShowcase executes the Fig. 7 experiment.
+func RunReconfigShowcase(cfg ReconfigConfig) (ReconfigResult, error) {
+	cluster, err := SwitchRing(cfg)
 	if err != nil {
 		return ReconfigResult{}, err
 	}
-	s := sim.New()
-	if cfg.TracePath != "" || cfg.DoctorPath != "" {
-		trace.Attach(s, trace.NewRecorder(trace.LevelFull, trace.DefaultCapacity))
+	env, err := NewEnv(EnvConfig{System: ncclsim.MCCS, Cluster: cluster, Instrument: cfg.Instrument,
+		Mutate: func(c *mccsd.Config) {
+			if cfg.MaxSlices > 0 {
+				c.Proxy.MaxSlices = cfg.MaxSlices
+			}
+			if cfg.UnserializedConns {
+				c.Transport = transport.DefaultConfig(cluster.IntraHostBps)
+				c.Transport.UnserializedSends = true
+			}
+		}})
+	if err != nil {
+		return ReconfigResult{}, err
 	}
-	var reg *telemetry.Registry
-	if cfg.TelemetryPath != "" || cfg.TelemetryEvery > 0 {
-		reg = telemetry.NewRegistry()
-		telemetry.Attach(s, reg)
-	}
-	fabric := netsim.NewFabric(s, cluster.Net)
-	svcCfg := ncclsim.Config(ncclsim.MCCS)
-	if cfg.MaxSlices > 0 {
-		svcCfg.Proxy.MaxSlices = cfg.MaxSlices
-	}
-	if cfg.UnserializedConns {
-		svcCfg.Transport = transport.DefaultConfig(cluster.IntraHostBps)
-		svcCfg.Transport.UnserializedSends = true
-	}
-	dep := mccsd.NewDeployment(s, cluster, fabric, svcCfg)
-	var sampler *telemetry.Sampler
-	if reg != nil {
-		registerTraceDropped(s, reg)
-		every := cfg.TelemetryEvery
-		if every <= 0 {
-			every = telemetry.DefaultInterval
-		}
-		sampler = telemetry.StartSampler(s, reg, every)
-	}
-	var doctor *diagnosis.Engine
-	if cfg.DoctorPath != "" {
-		var err error
-		if doctor, err = AttachDoctor(s); err != nil {
-			return ReconfigResult{}, err
-		}
-	}
+	defer env.Close()
+	s, fabric, dep := env.S, env.Fabric, env.Deployment
 
 	var gpus []topo.GPUID
 	for _, h := range cluster.Hosts {
@@ -250,25 +221,13 @@ func RunReconfigShowcase(cfg ReconfigConfig) (ReconfigResult, error) {
 	if len(errs) > 0 {
 		return ReconfigResult{}, errs[0]
 	}
-	if cfg.TracePath != "" {
-		if err := WriteTraceFile(cfg.TracePath, s, fabric); err != nil {
-			return ReconfigResult{}, err
-		}
-	}
-	if cfg.TelemetryPath != "" {
-		if err := WriteTelemetryFile(cfg.TelemetryPath, sampler); err != nil {
-			return ReconfigResult{}, err
-		}
-	}
-	if cfg.DoctorPath != "" {
-		if err := WriteDoctorFile(cfg.DoctorPath, doctor, fabric); err != nil {
-			return ReconfigResult{}, err
-		}
+	if err := env.WriteOutputs(); err != nil {
+		return ReconfigResult{}, err
 	}
 
 	res := ReconfigResult{Series: series}
-	if sampler != nil {
-		res.Telemetry = telemetry.SeriesOf(sampler)
+	if env.Telemetry != nil {
+		res.Telemetry = telemetry.SeriesOf(env.Telemetry)
 	}
 	var nb, nd, nr int
 	// The first post-reconfig sample straddles the barrier stall; skip a

@@ -25,7 +25,7 @@ func TestTraceDeterministic(t *testing.T) {
 			System: ncclsim.MCCS, Op: collective.AllReduce,
 			Bytes: 1 << 20, NumGPUs: 4,
 			Warmup: 1, Iters: 2, Trials: 1, Seed: 42,
-			TracePath: path,
+			Instrument: Instrument{TracePath: path},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -75,10 +75,7 @@ func TestTraceDeterministic(t *testing.T) {
 // no -trace flag anywhere, the management API still returns per-rank
 // collective history (the TS policy depends on it).
 func TestCommTraceSurvivesUntraced(t *testing.T) {
-	env, err := NewTestbedEnv(ncclsim.MCCS)
-	if err != nil {
-		t.Fatal(err)
-	}
+	env := newTestEnv(t, EnvConfig{System: ncclsim.MCCS})
 	rec := trace.Of(env.S)
 	if rec == nil {
 		t.Fatal("deployment did not attach a default recorder")

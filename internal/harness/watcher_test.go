@@ -12,6 +12,18 @@ import (
 	"mccs/internal/topo"
 )
 
+// newRingWorld builds the Fig. 7 switch ring under full MCCS, closed
+// when the test ends.
+func newRingWorld(t *testing.T) (*sim.Scheduler, *topo.Cluster, *netsim.Fabric, *mccsd.Deployment) {
+	t.Helper()
+	cluster, err := SwitchRing(DefaultReconfigConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	env := newTestEnv(t, EnvConfig{System: ncclsim.MCCS, Cluster: cluster})
+	return env.S, env.Cluster, env.Fabric, env.Deployment
+}
+
 // startLoopingJob launches an nGPU AllReduce loop and returns the rank-0
 // bandwidth series collector.
 func startLoopingJob(t *testing.T, s *sim.Scheduler, dep *mccsd.Deployment, cluster *topo.Cluster,
@@ -70,16 +82,7 @@ func phaseMean(series []TimePoint, from, to time.Duration) float64 {
 // intervention: the congestion watcher detects the external flow and
 // reverses the ring by itself, exactly once.
 func TestWatcherAutoReversesRing(t *testing.T) {
-	cluster, err := topo.BuildSwitchRing(topo.RingConfig{
-		Switches: 4, GPUsPerHost: 2, NICsPerHost: 2,
-		NICBps: 50 * topo.Gbps, SwitchBps: 100 * topo.Gbps,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := sim.New()
-	fabric := netsim.NewFabric(s, cluster.Net)
-	dep := mccsd.NewDeployment(s, cluster, fabric, ncclsim.Config(ncclsim.MCCS))
+	s, cluster, fabric, dep := newRingWorld(t)
 	var gpus []topo.GPUID
 	for _, h := range cluster.Hosts {
 		gpus = append(gpus, h.GPUs...)
@@ -131,10 +134,7 @@ func TestWatcherAutoReversesRing(t *testing.T) {
 // TestWatcherReroutesOnClos: in a spine-leaf fabric the watcher prefers an
 // immediate route re-pin over a ring reversal — path diversity exists.
 func TestWatcherReroutesOnClos(t *testing.T) {
-	env, err := NewTestbedEnv(ncclsim.MCCS)
-	if err != nil {
-		t.Fatal(err)
-	}
+	env := newTestEnv(t, EnvConfig{System: ncclsim.MCCS})
 	gpus, err := SingleAppGPUs(env.Cluster, 4)
 	if err != nil {
 		t.Fatal(err)
@@ -215,16 +215,7 @@ func floodRingHop(t *testing.T, s *sim.Scheduler, cluster *topo.Cluster, fabric 
 // clean scans), two well-separated episodes must yield exactly two
 // remediations.
 func TestWatcherReArmsAfterEpisode(t *testing.T) {
-	cluster, err := topo.BuildSwitchRing(topo.RingConfig{
-		Switches: 4, GPUsPerHost: 2, NICsPerHost: 2,
-		NICBps: 50 * topo.Gbps, SwitchBps: 100 * topo.Gbps,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := sim.New()
-	fabric := netsim.NewFabric(s, cluster.Net)
-	dep := mccsd.NewDeployment(s, cluster, fabric, ncclsim.Config(ncclsim.MCCS))
+	s, cluster, fabric, dep := newRingWorld(t)
 	var gpus []topo.GPUID
 	for _, h := range cluster.Hosts {
 		gpus = append(gpus, h.GPUs...)
@@ -262,16 +253,7 @@ func TestWatcherReArmsAfterEpisode(t *testing.T) {
 // the ring on every burst; the hysteresis must keep it to exactly one
 // remediation.
 func TestWatcherFlappingHysteresis(t *testing.T) {
-	cluster, err := topo.BuildSwitchRing(topo.RingConfig{
-		Switches: 4, GPUsPerHost: 2, NICsPerHost: 2,
-		NICBps: 50 * topo.Gbps, SwitchBps: 100 * topo.Gbps,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := sim.New()
-	fabric := netsim.NewFabric(s, cluster.Net)
-	dep := mccsd.NewDeployment(s, cluster, fabric, ncclsim.Config(ncclsim.MCCS))
+	s, cluster, fabric, dep := newRingWorld(t)
 	var gpus []topo.GPUID
 	for _, h := range cluster.Hosts {
 		gpus = append(gpus, h.GPUs...)

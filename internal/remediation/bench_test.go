@@ -33,7 +33,7 @@ func BenchmarkSelfHealBaseline(b *testing.B) {
 	sc := chaos.SelfHeal()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		r := chaos.RunSeed(sc, uint64(i)+1)
+		r := chaos.Run(sc, uint64(i)+1, chaos.Opts{})
 		if r.Err != nil {
 			b.Fatal(r.Err)
 		}

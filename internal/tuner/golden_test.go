@@ -38,10 +38,11 @@ func fig6Comm(t *testing.T, c *topo.Cluster) *spec.CommInfo {
 // exact artifacts the production Autotune path uses.
 func prodTuner(t *testing.T, opts policy.AutotuneOptions) (*tuner.Model, []tuner.Candidate, *spec.CommInfo) {
 	t.Helper()
-	env, err := harness.NewTestbedEnv(ncclsim.MCCS)
+	env, err := harness.NewEnv(harness.EnvConfig{System: ncclsim.MCCS})
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer env.Close()
 	ctrl := policy.NewController(env.Deployment)
 	info := fig6Comm(t, env.Cluster)
 	m := ctrl.TuneModel(true)
@@ -107,10 +108,11 @@ func TestPredictedOrderMatchesMeasured(t *testing.T) {
 // Tree-vs-ring crossover: the model and the simulation must agree that
 // the binomial tree wins small AllReduces and loses large ones.
 func TestPredictedTreeCrossoverMatchesMeasured(t *testing.T) {
-	env, err := harness.NewTestbedEnv(ncclsim.MCCS)
+	env, err := harness.NewEnv(harness.EnvConfig{System: ncclsim.MCCS})
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer env.Close()
 	ctrl := policy.NewController(env.Deployment)
 	info := fig6Comm(t, env.Cluster)
 	m := ctrl.TuneModel(true)

@@ -21,6 +21,7 @@
 //	    })
 //	}
 //	env.Scheduler().Run()
+//	env.Close()
 //
 // The root package re-exports the user-facing types; the implementation
 // lives under internal/ (see DESIGN.md for the package map):
@@ -42,9 +43,9 @@ package mccs
 
 import (
 	"mccs/internal/gpusim"
+	"mccs/internal/harness"
 	"mccs/internal/mccsd"
 	"mccs/internal/ncclsim"
-	"mccs/internal/netsim"
 	"mccs/internal/policy"
 	"mccs/internal/sim"
 	"mccs/internal/spec"
@@ -115,10 +116,7 @@ func NewFatTreeCluster(cfg FatTreeConfig, system System) (*Env, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := sim.New()
-	fabric := netsim.NewFabric(s, cluster.Net)
-	dep := mccsd.NewDeployment(s, cluster, fabric, ncclsim.Config(system))
-	return &Env{sched: s, cluster: cluster, fabric: fabric, dep: dep}, nil
+	return newEnv(cluster, system)
 }
 
 // TestbedConfig returns the paper's testbed shape (§6.1).
@@ -136,57 +134,59 @@ const (
 )
 
 // Env bundles a scheduler, cluster, fabric and deployment — everything an
-// application or experiment needs.
-type Env struct {
-	sched   *sim.Scheduler
-	cluster *topo.Cluster
-	fabric  *netsim.Fabric
-	dep     *mccsd.Deployment
-}
+// application or experiment needs. Whoever builds an Env closes it.
+type Env struct{ h *harness.Env }
 
 // Scheduler returns the virtual-time scheduler. Call Run (or RunUntil)
 // after spawning your processes.
-func (e *Env) Scheduler() *Scheduler { return e.sched }
+func (e *Env) Scheduler() *Scheduler { return e.h.S }
 
 // Cluster returns the physical topology.
-func (e *Env) Cluster() *Cluster { return e.cluster }
+func (e *Env) Cluster() *Cluster { return e.h.Cluster }
 
 // Deployment returns the MCCS service installation (the provider-side
 // management API hangs off it).
-func (e *Env) Deployment() *Deployment { return e.dep }
+func (e *Env) Deployment() *Deployment { return e.h.Deployment }
 
 // Frontend returns the shim frontend for app on the host owning gpu.
 func (e *Env) Frontend(gpu GPUID, app AppID) *Frontend {
-	return e.dep.Service(e.cluster.HostOfGPU(gpu)).Frontend(app)
+	return e.h.Deployment.Service(e.h.Cluster.HostOfGPU(gpu)).Frontend(app)
 }
 
 // NewController attaches a policy controller to the deployment.
-func (e *Env) NewController() *Controller { return policy.NewController(e.dep) }
+func (e *Env) NewController() *Controller { return policy.NewController(e.h.Deployment) }
+
+// Close tears the simulation down: every process still alive, the
+// service's parked engines included, is unwound. Results already read
+// stay valid; the scheduler must not run again. Close is idempotent.
+func (e *Env) Close() { e.h.Close() }
 
 // NewTestbed builds the paper's 4-host, 8-GPU, 2-rack testbed running the
 // given system.
 func NewTestbed(system System) (*Env, error) {
-	return newEnv(topo.TestbedConfig(), system)
+	return newEnv(nil, system)
 }
 
 // NewLargeCluster builds the paper's 768-GPU spine-leaf cluster running
 // the given system.
 func NewLargeCluster(system System) (*Env, error) {
-	return newEnv(topo.LargeScaleConfig(), system)
+	return NewCluster(topo.LargeScaleConfig(), system)
 }
 
 // NewCluster builds a custom spine-leaf cluster running the given system.
 func NewCluster(cfg topo.ClosConfig, system System) (*Env, error) {
-	return newEnv(cfg, system)
-}
-
-func newEnv(cfg topo.ClosConfig, system System) (*Env, error) {
 	cluster, err := topo.BuildClos(cfg)
 	if err != nil {
 		return nil, err
 	}
-	s := sim.New()
-	fabric := netsim.NewFabric(s, cluster.Net)
-	dep := mccsd.NewDeployment(s, cluster, fabric, ncclsim.Config(system))
-	return &Env{sched: s, cluster: cluster, fabric: fabric, dep: dep}, nil
+	return newEnv(cluster, system)
+}
+
+// newEnv builds a world on cluster; nil is the paper's testbed.
+func newEnv(cluster *topo.Cluster, system System) (*Env, error) {
+	h, err := harness.NewEnv(harness.EnvConfig{System: system, Cluster: cluster})
+	if err != nil {
+		return nil, err
+	}
+	return &Env{h: h}, nil
 }

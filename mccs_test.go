@@ -14,6 +14,7 @@ func TestPublicAPIQuickstart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer env.Close()
 	var gpus []mccs.GPUID
 	for _, h := range env.Cluster().Hosts {
 		gpus = append(gpus, h.GPUs[0])
@@ -70,6 +71,7 @@ func TestPublicAPIControllerAndManagement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer env.Close()
 	ctrl := env.NewController()
 	var gpus []mccs.GPUID
 	for _, h := range env.Cluster().Hosts {
@@ -122,12 +124,15 @@ func TestPublicAPICustomCluster(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer env.Close()
 	if env.Cluster().NumRacks() != 3 {
 		t.Fatalf("racks = %d", env.Cluster().NumRacks())
 	}
-	if _, err := mccs.NewLargeCluster(mccs.SystemMCCS); err != nil {
+	large, err := mccs.NewLargeCluster(mccs.SystemMCCS)
+	if err != nil {
 		t.Fatal(err)
 	}
+	large.Close()
 	bad := cfg
 	bad.Spines = 0
 	if _, err := mccs.NewCluster(bad, mccs.SystemMCCS); err == nil {
@@ -144,6 +149,7 @@ func TestPublicAPIFatTree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer env.Close()
 	// One rank per host across both pods: the provider's locality ring
 	// must group pods; the AllReduce must still be exact.
 	var gpus []mccs.GPUID

@@ -31,10 +31,11 @@ const (
 )
 
 func TestScheduleFingerprintGolden(t *testing.T) {
-	env, err := harness.NewTestbedEnv(ncclsim.MCCS)
+	env, err := harness.NewEnv(harness.EnvConfig{System: ncclsim.MCCS})
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer env.Close()
 	// FNV-1a over the little-endian (at, seq) pairs of every fired event.
 	const fnvOffset, fnvPrime = uint64(14695981039346656037), uint64(1099511628211)
 	hash, events := fnvOffset, 0
