@@ -66,11 +66,15 @@ bench-json:
 # The remediation-loop entry measures the full closed detect→diagnose→
 # recover loop (chaos self-heal with the control loop attached) against
 # its no-loop baseline, so control-plane overhead regressions surface in
-# the same artifact.
+# the same artifact. BenchmarkWriteChrome exports a full
+# trace.DefaultCapacity ring of mixed spans as Chrome JSON, the end of
+# every traced run; its allocs/op follows thread rows, not spans
+# (TestWriteChromeAllocsPerRowNotPerSpan).
 bench-sim-json:
 	( $(GO) test -run '^$$' -bench BenchmarkSimCore -benchtime=10000x ./internal/sim/ ; \
 	  $(GO) test -run '^$$' -bench BenchmarkDatapath -benchtime=10000x -benchmem ./internal/transport/ ; \
 	  $(GO) test -run '^$$' -bench BenchmarkBackedCollective -benchtime=1000x -benchmem ./internal/proxy/ ; \
+	  $(GO) test -run '^$$' -bench BenchmarkWriteChrome -benchtime=5x -benchmem ./internal/trace/ ; \
 	  $(GO) test -run '^$$' -bench 'BenchmarkRemediationLoop|BenchmarkSelfHealBaseline' -benchtime=3x ./internal/remediation/ ) | $(GO) run ./cmd/mccs-benchjson > BENCH.sim.json
 
 # trace records a short Fig. 7 reconfiguration run with the flight

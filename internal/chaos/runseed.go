@@ -283,7 +283,7 @@ func dumpTrace(env *harness.Env, rec *trace.Recorder, sc Scenario, seed uint64) 
 	if err != nil {
 		return ""
 	}
-	if err := trace.WriteChrome(f, rec.Snapshot()); err != nil {
+	if err := rec.WriteChrome(f); err != nil {
 		f.Close()
 		os.Remove(f.Name())
 		return ""

@@ -240,7 +240,7 @@ func Attach(s *sim.Scheduler, rec *trace.Recorder, reg *telemetry.Registry, cfg 
 		e.registerMetrics(reg)
 	}
 	if e.nominal == nil && rec != nil {
-		e.setLinksMeta(rec.Snapshot().Meta.Links)
+		e.setLinksMeta(rec.Meta().Links)
 	}
 	if rec != nil {
 		rec.SetTap(e.onSpan)

@@ -227,7 +227,7 @@ func WriteTraceFile(path string, s *sim.Scheduler, fabric *netsim.Fabric) error 
 	if fabric != nil {
 		fabric.FlushTrace()
 	}
-	return writeFile(path, func(w io.Writer) error { return trace.WriteChrome(w, rec.Snapshot()) })
+	return writeFile(path, rec.WriteChrome)
 }
 
 // writeFile creates path and fills it with write.

@@ -2,6 +2,8 @@ package harness
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -11,11 +13,16 @@ import (
 	"mccs/internal/trace"
 )
 
+// figure6TraceSHA256 pins the bytes of TestTraceDeterministic's trace
+// file: a change to the exporter's output, or to what the run records,
+// shows here.
+const figure6TraceSHA256 = "2470084919f8d0e824ab0891dc7c1039c166d895ee407f2e7b646484aa44503c"
+
 // TestTraceDeterministic runs the same Fig. 6 point twice with the same
 // seed and requires the two trace files to be byte-identical: the
 // recorder, the exporter and everything that feeds them must be free of
 // map-iteration and other nondeterminism, or failing chaos seeds would
-// not replay.
+// not replay. The bytes are also pinned against figure6TraceSHA256.
 func TestTraceDeterministic(t *testing.T) {
 	dir := t.TempDir()
 	run := func(name string) ([]byte, trace.Recording) {
@@ -50,6 +57,9 @@ func TestTraceDeterministic(t *testing.T) {
 	rawB, recB := run("b.json")
 	if !bytes.Equal(rawA, rawB) {
 		t.Error("same seed produced different trace bytes")
+	}
+	if sum := fmt.Sprintf("%x", sha256.Sum256(rawA)); sum != figure6TraceSHA256 {
+		t.Errorf("trace SHA-256 = %s, want %s", sum, figure6TraceSHA256)
 	}
 	if fa, fb := recA.Fingerprint(), recB.Fingerprint(); fa != fb {
 		t.Errorf("same seed produced different fingerprints: %#x vs %#x", fa, fb)

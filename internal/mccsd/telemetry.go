@@ -23,10 +23,13 @@ type fabricCollector struct {
 	linkExt  []*telemetry.Gauge
 	active   *telemetry.Gauge
 
-	// tenantBps holds the lazily created mccs_tenant_link_bps gauges;
-	// all are zeroed at the start of each tick so a tenant that went
-	// idle on a link reads 0, not its last busy value.
+	// tenantBps holds the lazily created mccs_tenant_link_bps gauges.
+	// live lists the ones set on the previous tick; they are zeroed at
+	// the start of the next so a tenant that went idle on a link reads
+	// 0, not its last busy value. Every other gauge already reads 0, so
+	// a tick costs per live (tenant, link) pair, not per pair ever seen.
 	tenantBps map[tenantLink]*telemetry.Gauge
+	live      []*telemetry.Gauge
 
 	// Per-link accumulation scratch, reused across ticks.
 	shares  [][]telemetry.TenantShare
@@ -83,9 +86,10 @@ func (c *fabricCollector) collect(now sim.Time) {
 		c.shares[l] = c.shares[l][:0]
 	}
 	c.touched = c.touched[:0]
-	for _, g := range c.tenantBps {
+	for _, g := range c.live {
 		g.Set(0)
 	}
+	c.live = c.live[:0]
 
 	total := 0
 	fb.EachFlow(func(fv netsim.FlowView) {
@@ -144,7 +148,9 @@ func (c *fabricCollector) collect(now sim.Time) {
 	for _, l := range c.touched {
 		for i := range c.shares[l] {
 			sh := c.shares[l][i]
-			c.tenantGauge(sh.Tenant, l).Set(sh.Bps)
+			g := c.tenantGauge(sh.Tenant, l)
+			g.Set(sh.Bps)
+			c.live = append(c.live, g)
 		}
 		id := netsim.LinkID(l)
 		c.reg.SLO.ObserveLink(now, int32(l), c.linkName[l],

@@ -60,7 +60,6 @@ type Violation struct {
 type violKey struct {
 	tenant string
 	link   int32
-	window int64
 }
 
 // maxViolations bounds the in-memory violation log; overflow is counted.
@@ -72,9 +71,14 @@ const maxViolations = 1 << 12
 type SLOTracker struct {
 	Config SLOConfig
 
-	reg        *Registry
-	window     sim.Duration
+	reg    *Registry
+	window sim.Duration
+	// seen holds the (tenant, link) pairs already reported in window
+	// seenWindow. ObserveLink's clock is monotone, so a pair from an
+	// earlier window can never match again: the set is cleared when the
+	// window index advances and holds at most one window's worth.
 	seen       map[violKey]struct{}
+	seenWindow int64
 	violations []Violation
 	dropped    int
 	counters   map[string]*Counter
@@ -101,12 +105,15 @@ func (t *SLOTracker) ObserveLink(now sim.Time, link int32, name string, capBps, 
 	}
 	entitled := capBps / float64(len(shares))
 	floor := entitled * (1 - t.Config.Tolerance)
-	w := int64(now) / int64(t.window)
+	if w := int64(now) / int64(t.window); w != t.seenWindow {
+		clear(t.seen)
+		t.seenWindow = w
+	}
 	for _, sh := range shares {
 		if !sh.Bottlenecked || sh.Bps >= floor {
 			continue
 		}
-		k := violKey{tenant: sh.Tenant, link: link, window: w}
+		k := violKey{tenant: sh.Tenant, link: link}
 		if _, ok := t.seen[k]; ok {
 			continue
 		}

@@ -338,6 +338,40 @@ func TestSLOPredicate(t *testing.T) {
 	}
 }
 
+// The dedup set holds one window's worth of (tenant, link) pairs however
+// long the run, while every window still reports each breach once.
+func TestSLOSeenBounded(t *testing.T) {
+	r := NewRegistry()
+	tr := r.SLO
+	tr.reg = r
+	tr.window = sim.Duration(time.Millisecond)
+	const capBps, links, windows = 10e9, 3, 1000
+	var shares []TenantShare
+	for _, name := range []string{"t0", "t1", "t2", "t3"} {
+		shares = append(shares, TenantShare{Tenant: name, Bps: capBps / 8, Bottlenecked: true})
+	}
+	perWindow := links * len(shares)
+	for w := 0; w < windows; w++ {
+		for _, off := range []time.Duration{0, 250 * time.Microsecond, 999 * time.Microsecond} {
+			now := sim.Time(time.Duration(w)*time.Millisecond + off)
+			for l := int32(0); l < links; l++ {
+				tr.ObserveLink(now, l, "l", capBps, capBps, shares)
+			}
+			if len(tr.seen) > perWindow {
+				t.Fatalf("window %d: seen holds %d keys, want at most %d", w, len(tr.seen), perWindow)
+			}
+		}
+	}
+	if got, want := len(tr.Violations())+tr.Dropped(), windows*perWindow; got != want {
+		t.Errorf("reported %d violations, want %d (one per tenant, link and window)", got, want)
+	}
+	for i, v := range tr.Violations() {
+		if want := sim.Time(time.Duration(i/perWindow) * time.Millisecond); v.T != want {
+			t.Fatalf("violation %d at %v, want the first instant of its window %v", i, v.T, want)
+		}
+	}
+}
+
 // Quantile edge: empty histogram and q at the extremes.
 func TestHistogramQuantileEdges(t *testing.T) {
 	r := NewRegistry()

@@ -421,6 +421,15 @@ func (r *Recorder) NoteComm(comm int32, app string) {
 	r.meta.CommApp[comm] = app
 }
 
+// Meta returns the registered topology metadata without copying the
+// ring.
+func (r *Recorder) Meta() Meta {
+	if r == nil {
+		return Meta{}
+	}
+	return r.meta
+}
+
 // OpSpans returns the held collective-lifecycle spans for one
 // (communicator, rank), oldest-first — the thin view behind the
 // Deployment.CommTrace management API.
@@ -442,7 +451,7 @@ func (r *Recorder) Snapshot() Recording {
 		return rec
 	}
 	rec.Spans = make([]Span, 0, len(r.buf))
-	r.each(func(sp *Span) { rec.Spans = append(rec.Spans, *sp) })
+	rec.Spans = append(append(rec.Spans, r.buf[r.head:]...), r.buf[:r.head]...)
 	rec.Meta = r.meta
 	return rec
 }

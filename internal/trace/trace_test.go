@@ -131,7 +131,7 @@ func testRecording() Recording {
 func TestChromeRoundTrip(t *testing.T) {
 	rec := testRecording()
 	var buf bytes.Buffer
-	if err := WriteChrome(&buf, rec); err != nil {
+	if err := writeRecording(&buf, rec); err != nil {
 		t.Fatal(err)
 	}
 
@@ -174,10 +174,10 @@ func TestChromeRoundTrip(t *testing.T) {
 
 func TestExportDeterministic(t *testing.T) {
 	var a, b bytes.Buffer
-	if err := WriteChrome(&a, testRecording()); err != nil {
+	if err := writeRecording(&a, testRecording()); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteChrome(&b, testRecording()); err != nil {
+	if err := writeRecording(&b, testRecording()); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
