@@ -81,14 +81,14 @@ bench-sim-json:
 # recorder and prints the bottleneck-attribution summary. The JSON also
 # loads in Perfetto (ui.perfetto.dev) for a visual timeline.
 trace:
-	$(GO) run ./cmd/mccs-reconfig -run 6s -bg 2s -reconfig 4s -trace reconfig.trace.json
+	$(GO) run ./cmd/mccs-bench fig7 -run 6s -bg 2s -reconfig 4s -trace reconfig.trace.json
 	$(GO) run ./cmd/mccs-trace summarize reconfig.trace.json
 
 # telemetry samples the same run through the live metrics plane and
 # renders the operator view: per-tenant goodput, busiest links, SLO
 # violations (DESIGN.md §9.2).
 telemetry:
-	$(GO) run ./cmd/mccs-reconfig -run 6s -bg 2s -reconfig 4s -telemetry reconfig.telemetry.jsonl
+	$(GO) run ./cmd/mccs-bench fig7 -run 6s -bg 2s -reconfig 4s -telemetry reconfig.telemetry.jsonl
 	$(GO) run ./cmd/mccs-top reconfig.telemetry.jsonl
 
 # doctor runs the online health-diagnosis smoke (DESIGN.md §13): the
@@ -97,15 +97,15 @@ telemetry:
 # through mccs-doctor to print the incident timeline (live and replay
 # agree on the incident set by construction).
 doctor:
-	$(GO) run ./cmd/mccs-reconfig -run 6s -bg 2s -reconfig 4s -trace doctor.trace.json -telemetry doctor.telemetry.jsonl -doctor doctor.incidents.jsonl
+	$(GO) run ./cmd/mccs-bench fig7 -run 6s -bg 2s -reconfig 4s -trace doctor.trace.json -telemetry doctor.telemetry.jsonl -doctor doctor.incidents.jsonl
 	$(GO) run ./cmd/mccs-doctor doctor.trace.json doctor.telemetry.jsonl
 
 # self-heal runs the closed-loop recovery smoke (DESIGN.md §14): the
 # chaos self-heal scenario with the diagnosis engine and the remediation
-# daemon attached, sweeping a few seeds and writing the deterministic
+# engine attached, sweeping a few seeds and writing the deterministic
 # remediation event log CI uploads as an artifact.
 self-heal:
-	$(GO) run ./cmd/mccs-selfheal -seeds 4 -jsonl selfheal.remediation.jsonl
+	$(GO) run ./cmd/mccs-bench selfheal -seeds 4 -jsonl selfheal.remediation.jsonl
 
 # churn runs the tenant-lifecycle smoke (DESIGN.md §12): the default
 # 8-job seeded arrival stream with churn-triggered reconfiguration,

@@ -26,10 +26,9 @@ func main() {
 	seed := flag.Uint64("seed", 1, "arrival-stream seed (same seed, same report)")
 	meanGap := flag.Duration("gap", 30*time.Millisecond, "mean exponential inter-arrival gap")
 	noReconfig := flag.Bool("no-reconfig", false, "disable churn-triggered FFA reconfiguration")
-	autotune := flag.Bool("autotune", false, "re-plan each surviving communicator's strategy on churn")
 	placer := flag.String("placer", "binpack", "placement policy: binpack or rack-spread")
 	quota := flag.String("quota", "", "per-tenant GPU quotas, e.g. tenant-a=4,tenant-b=8")
-	in := harness.InstrumentFlags()
+	shared := harness.InstrumentFlags(flag.CommandLine) // -autotune re-plans each surviving communicator on churn
 	flag.Parse()
 
 	cfg := harness.DefaultChurnConfig()
@@ -37,8 +36,8 @@ func main() {
 	cfg.Seed = *seed
 	cfg.MeanGap = *meanGap
 	cfg.Reconfigure = !*noReconfig
-	cfg.Autotune = *autotune
-	cfg.Instrument = *in
+	cfg.Autotune = shared.Autotune
+	cfg.Instrument = shared.Instrument
 	switch *placer {
 	case "binpack":
 		cfg.Placer = orchestrator.BinPack{}
@@ -69,5 +68,5 @@ func main() {
 	fmt.Printf("[churn] %d jobs, seed %d, placer %s, reconfig=%v autotune=%v\n\n",
 		cfg.Jobs, cfg.Seed, *placer, cfg.Reconfigure, cfg.Autotune)
 	fmt.Print(harness.FormatChurnTable(res))
-	in.Report(os.Stdout)
+	shared.Report(os.Stdout)
 }

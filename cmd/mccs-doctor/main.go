@@ -3,17 +3,17 @@
 // straggler GPUs, degraded links, reconfiguration stalls, SLO breach
 // episodes and admission queueing, each attributed to a blamed entity
 // with a confidence score. When the recording carries remediation spans
-// (a run with the self-healing control loop attached — mccs-selfheal or
-// harness.AttachRemediation), incidents additionally report when they
-// were remediated and recovered, and the report closes with a
-// SELF-HEALING section giving the median time-to-recover.
+// (the remediation engine was attached to the run), incidents
+// additionally report when they were remediated and recovered, and the
+// report closes with a SELF-HEALING section giving the median
+// time-to-recover.
 //
 //	mccs-doctor trace.json                    # text timeline to stdout
 //	mccs-doctor trace.json telemetry.jsonl    # + SLO violations from telemetry
 //	mccs-doctor -jsonl incidents.jsonl trace.json
 //
 // trace.json is the Chrome trace-event file written by the -trace or
-// -doctor flags of mccs-bench / mccs-reconfig / mccs-churn (or a chaos
+// -doctor flags of mccs-bench (fig6/fig7/fig8) / mccs-churn (or a chaos
 // failure dump); telemetry.jsonl is the matching -telemetry series. The
 // same engine attaches live via those harnesses' -doctor flags — replay
 // of the same recording produces the identical report byte for byte.
@@ -26,6 +26,7 @@ import (
 	"os"
 
 	"mccs/internal/diagnosis"
+	"mccs/internal/harness"
 	"mccs/internal/telemetry"
 	"mccs/internal/trace"
 )
@@ -71,15 +72,7 @@ func run(args []string, jsonlPath string, stdout io.Writer) error {
 
 	rep := diagnosis.Analyze(rec, se, diagnosis.DefaultConfig())
 	if jsonlPath != "" {
-		jf, err := os.Create(jsonlPath)
-		if err != nil {
-			return err
-		}
-		if err := rep.WriteJSONL(jf); err != nil {
-			jf.Close()
-			return err
-		}
-		if err := jf.Close(); err != nil {
+		if err := harness.WriteFile(jsonlPath, rep.WriteJSONL); err != nil {
 			return err
 		}
 	}
@@ -90,7 +83,7 @@ func usage() {
 	fmt.Fprintf(os.Stderr, `usage: mccs-doctor [-jsonl incidents.jsonl] trace.json [telemetry.jsonl]
 
 Replays a flight-recorder dump (Chrome trace-event JSON from the -trace
-or -doctor flags of mccs-bench / mccs-reconfig / mccs-churn, or a chaos
+or -doctor flags of mccs-bench (fig6/fig7/fig8) / mccs-churn, or a chaos
 failure dump) through the health diagnosis engine and prints the
 incident timeline. Pass the matching -telemetry JSONL as a second
 argument to fold SLO violations into the diagnosis. Recordings from

@@ -1,8 +1,8 @@
 // mccs-top renders a cluster operator's view of an MCCS telemetry
 // series: per-tenant goodput, the scheduler's lifecycle counters, the
 // busiest fabric links, and the SLO violations the run produced. It
-// reads a JSONL file exported with -telemetry (mccs-reconfig,
-// mccs-bench, mccs-multi, mccs-churn) or, with -live, runs a scenario
+// reads a JSONL file exported with -telemetry (mccs-bench, its fig7 and
+// fig8 subcommands, mccs-churn) or, with -live, runs a scenario
 // itself — the contended Fig. 7 reconfiguration by default, the tenant
 // churn experiment with -scenario churn — and renders the resulting
 // series.
@@ -14,10 +14,10 @@
 // whichever sections have data. HEALTH appears when the run had the
 // diagnosis engine attached (a -doctor flag): open incidents, per-class
 // totals, and each tenant's last diagnosed root cause. REMEDIATION
-// appears when the self-healing control loop ran (mccs-selfheal, or a
-// harness with remediation attached): links currently quarantined,
-// quarantine/readmission/suppression totals, and per-action recovery
-// counts (re-pin, ring reversal, re-tune, degrade, FFA re-run).
+// appears when the remediation engine ran (the chaos self-heal runs):
+// links currently quarantined, quarantine/readmission/suppression
+// totals, and per-action recovery counts (re-pin, ring reversal,
+// re-tune, degrade, FFA re-run).
 package main
 
 import (

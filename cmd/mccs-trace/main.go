@@ -105,7 +105,7 @@ commands:
   dump        print every span, one line each
 
 trace.json is the Chrome trace-event file written by the -trace flag of
-mccs-bench / mccs-reconfig (or a chaos failure dump); the same file loads
+mccs-bench and mccs-bench fig7 (or a chaos failure dump); the same file loads
 in Perfetto or chrome://tracing.
 `)
 }

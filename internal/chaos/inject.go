@@ -18,8 +18,8 @@ import (
 // injection is derived from the inj PRNG stream at install time (so the
 // schedule of faults is fixed by the seed before the simulation starts)
 // and every fault is time-bounded: capacities are restored, slowdowns
-// cleared, external flows canceled, and the watcher stopped, so that the
-// only thing that can keep the simulation from draining is a genuine bug.
+// cleared and external flows canceled, so that the only thing that can
+// keep the simulation from draining is a genuine bug.
 // Each injector also appends its fault windows to fl (nil-safe) as
 // labeled ground truth for the diagnosis engine; recording consumes no
 // PRNG draws, so the fault schedule is identical with or without it.
@@ -259,10 +259,10 @@ func randomDelays(inj *rand.Rand, n int) []time.Duration {
 }
 
 // injectCongestion starts an external strict-priority flow on a random
-// fabric-core link for a bounded window and runs the policy congestion
-// watcher against the deployment, so remediation (route re-pins, ring
-// reversals) happens concurrently with the tenant workload and any
-// reconfiguration storm.
+// fabric-core link for a bounded window. runSeed attaches the
+// remediation engine to every Congestion scenario, so its recovery
+// moves (route re-pins, ring reversals) run concurrently with the
+// tenant workload and any reconfiguration storm.
 func injectCongestion(env *harness.Env, sc Scenario, inj *rand.Rand, fl *faultLog) {
 	net := env.Cluster.Net
 	var core []netsim.LinkID
@@ -297,16 +297,6 @@ func injectCongestion(env *harness.Env, sc Scenario, inj *rand.Rand, fl *faultLo
 		})
 	})
 	env.S.At(sim.Time(at+dur), func() { env.Fabric.CancelFlow(bg) })
-
-	w := policy.NewController(env.Deployment).NewCongestionWatcher()
-	w.Interval = 200 * time.Microsecond
-	w.Consecutive = 2
-	w.OnRemediate = func() {
-		fl.add(FaultRecord{Kind: "remediation", Start: env.S.Now(), End: FaultOpenEnd, Link: -1, Rank: -1})
-	}
-	stop := &sim.Event{}
-	w.Start(stop)
-	env.S.At(sim.Time(sc.Horizon), func() { stop.Signal(env.S) })
 }
 
 // randDuration returns a uniform duration in [0, max).

@@ -115,8 +115,10 @@ type HealRun struct {
 	// recording to decide which injected fault windows were observable.
 	Doctor    *diagnosis.Report
 	Recording trace.Recording
-	// Remediation and Telemetry, the final Prometheus-format registry
-	// export for the byte-determinism check, are set on healed runs.
+	// Remediation is set when the remediation engine ran: on healed runs
+	// and in Congestion scenarios. Telemetry, the final Prometheus-format
+	// registry export for the byte-determinism check, is set on healed
+	// runs.
 	Remediation *remediation.Report
 	Telemetry   []byte
 }
@@ -214,10 +216,17 @@ func runSeed(sc Scenario, seed uint64, opts Opts, hr *HealRun) error {
 	// The remediation engine also attaches pre-fault (it snapshots
 	// nominal link capacities); its daemon stops on a fixed virtual-time
 	// event past the fault horizon so quarantined links can finish
-	// probation and re-admit before the run drains.
+	// probation and re-admit before the run drains. Congestion scenarios
+	// always run it, as the manager that moves the tenant off the
+	// external flow; there it works without the doctor's verdicts, so
+	// the schedule does not depend on Opts.Doctor.
 	var heal *remediation.Engine
-	if opts.Heal {
-		heal = remediation.Attach(env.S, env.Deployment, eng, opts.HealConfig)
+	if opts.Heal || sc.Congestion {
+		var diag *diagnosis.Engine
+		if opts.Heal {
+			diag = eng
+		}
+		heal = remediation.Attach(env.S, env.Deployment, diag, opts.HealConfig)
 		stop := &sim.Event{}
 		heal.Start(stop)
 		env.S.At(sim.Time(sc.Horizon+sc.Horizon/2), func() { stop.Signal(env.S) })
@@ -238,6 +247,19 @@ func runSeed(sc Scenario, seed uint64, opts Opts, hr *HealRun) error {
 	// failed run reports its replay coordinates.
 	res.TraceHash, res.Events = tr.hash, tr.n
 	res.Tail = append([]TraceEntry(nil), tr.tail...)
+	if heal != nil {
+		hr.Remediation = heal.Finish()
+	}
+	if sc.Congestion {
+		// Log the engine's moves against the external flow as ground
+		// truth: reversals, re-tunes and degradations start barriers the
+		// doctor reports as reconfiguration stalls. Healed runs add no
+		// records here; their scorers bound each episode by its own
+		// quarantine and re-admission.
+		for _, a := range hr.Remediation.RecoveryActions() {
+			fl.add(FaultRecord{Kind: "remediation", Start: a.At, End: FaultOpenEnd, Link: -1, Rank: -1})
+		}
+	}
 	res.Faults = fl.recs
 
 	err = checkInvariants(env, sc, led, simErr, rankErrs, finished, scriptComm, orch, churnJobs)
@@ -249,8 +271,7 @@ func runSeed(sc Scenario, seed uint64, opts Opts, hr *HealRun) error {
 		hr.Doctor = eng.Finish()
 		hr.Recording = rec.Snapshot()
 	}
-	if heal != nil {
-		hr.Remediation = heal.Finish()
+	if opts.Heal {
 		var buf bytes.Buffer
 		if err := telemetry.WritePrometheus(&buf, telemetry.Of(env.S)); err == nil {
 			hr.Telemetry = buf.Bytes()

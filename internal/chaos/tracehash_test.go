@@ -22,8 +22,8 @@ var pinnedTraceHashes = []struct {
 }{
 	{"link-flap", 1, 0xa3f01030dc7d980e, 867},
 	{"straggler", 1, 0x4b2662508122a3f0, 7258},
-	{"reconfig-storm", 1, 0xb7178e5ff4b3124f, 1723},
-	{"autotune-churn", 1, 0x7954381adc36b91b, 7059},
+	{"reconfig-storm", 1, 0xdc6946ee784371ed, 1825},
+	{"autotune-churn", 1, 0xf1dd6f11e0666f87, 7109},
 	{"orchestrator-churn", 1, 0xc1504fe473f962ce, 2180},
 }
 
@@ -47,5 +47,22 @@ func TestCorpusTraceHashPinned(t *testing.T) {
 			t.Errorf("%s seed %d: hash=%#x events=%d, want hash=%#x events=%d — the schedule is no longer byte-identical",
 				pin.scenario, pin.seed, res.TraceHash, res.Events, pin.hash, pin.events)
 		}
+	}
+}
+
+// TestSelfHealTraceHashPinned pins the closed-loop schedule: one
+// self-heal seed, with the remediation engine acting on link flaps and
+// the doctor's verdicts. The corpus pins above exercise the engine only
+// against external congestion, so without this a change to the link
+// scan could move every self-heal result unnoticed.
+func TestSelfHealTraceHashPinned(t *testing.T) {
+	const wantHash, wantEvents = 0xd1bc59a66e92846a, 2332
+	hr := RunSeedHealed(SelfHeal(), 1)
+	if hr.Err != nil {
+		t.Fatalf("self-heal seed 1 failed: %v", hr.Err)
+	}
+	if hr.TraceHash != wantHash || hr.Events != wantEvents {
+		t.Errorf("self-heal seed 1: hash=%#x events=%d, want hash=%#x events=%d — the healed schedule is no longer byte-identical",
+			hr.TraceHash, hr.Events, uint64(wantHash), wantEvents)
 	}
 }

@@ -21,7 +21,6 @@ import (
 	"mccs/internal/ncclsim"
 	"mccs/internal/netsim"
 	"mccs/internal/policy"
-	"mccs/internal/remediation"
 	"mccs/internal/sim"
 	"mccs/internal/spec"
 	"mccs/internal/telemetry"
@@ -70,14 +69,25 @@ type Instrument struct {
 	DoctorPath string
 }
 
-// InstrumentFlags registers -trace, -telemetry and -doctor on the
-// default flag set; flag.Parse fills in the returned block.
-func InstrumentFlags() *Instrument {
-	in := &Instrument{}
-	flag.StringVar(&in.TracePath, "trace", "", "record the run and write Chrome trace-event JSON here")
-	flag.StringVar(&in.TelemetryPath, "telemetry", "", "sample the metrics registry and write the series here (JSONL; .prom for Prometheus text)")
-	flag.StringVar(&in.DoctorPath, "doctor", "", "attach the online diagnosis engine and write its health report here (.jsonl for incident JSONL)")
-	return in
+// Flags are the options every harness-driven CLI shares: where the
+// observability planes write, and whether the strategy autotuner runs.
+type Flags struct {
+	Instrument
+	// Autotune lets the strategy autotuner pick communicator strategies.
+	// Unlike the instrumentation it changes the run; each driver's
+	// config says what it tunes.
+	Autotune bool
+}
+
+// InstrumentFlags registers -trace, -telemetry, -doctor and -autotune on
+// fs; fs.Parse fills in the returned block.
+func InstrumentFlags(fs *flag.FlagSet) *Flags {
+	f := &Flags{}
+	fs.StringVar(&f.TracePath, "trace", "", "record the run and write Chrome trace-event JSON here")
+	fs.StringVar(&f.TelemetryPath, "telemetry", "", "sample the metrics registry and write the series here (JSONL; .prom for Prometheus text)")
+	fs.StringVar(&f.DoctorPath, "doctor", "", "attach the online diagnosis engine and write its health report here (.jsonl for incident JSONL)")
+	fs.BoolVar(&f.Autotune, "autotune", false, "let the strategy autotuner pick communicator strategies")
+	return f
 }
 
 // Report prints where each set output was written and what reads it.
@@ -227,11 +237,11 @@ func WriteTraceFile(path string, s *sim.Scheduler, fabric *netsim.Fabric) error 
 	if fabric != nil {
 		fabric.FlushTrace()
 	}
-	return writeFile(path, rec.WriteChrome)
+	return WriteFile(path, rec.WriteChrome)
 }
 
-// writeFile creates path and fills it with write.
-func writeFile(path string, write func(io.Writer) error) error {
+// WriteFile creates path and fills it with write.
+func WriteFile(path string, write func(io.Writer) error) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
@@ -241,20 +251,6 @@ func writeFile(path string, write func(io.Writer) error) error {
 		return err
 	}
 	return f.Close()
-}
-
-// writeReport writes a diagnosis or remediation report at path: JSONL
-// when the path ends in ".jsonl", the human-readable text otherwise.
-func writeReport(path string, rep interface {
-	WriteJSONL(io.Writer) error
-	WriteText(io.Writer) error
-}) error {
-	return writeFile(path, func(w io.Writer) error {
-		if strings.HasSuffix(path, ".jsonl") {
-			return rep.WriteJSONL(w)
-		}
-		return rep.WriteText(w)
-	})
 }
 
 // AttachDoctor attaches the online diagnosis engine to a scheduler whose
@@ -281,33 +277,13 @@ func WriteDoctorFile(path string, eng *diagnosis.Engine, fabric *netsim.Fabric) 
 	if fabric != nil {
 		fabric.FlushTrace()
 	}
-	return writeReport(path, eng.Finish())
-}
-
-// AttachRemediation attaches the self-healing control loop to an
-// environment that already has a diagnosis engine: the remediation
-// engine subscribes to the doctor's verdicts, scans link health on its
-// own tick, and drives recovery through the policy controller. The
-// caller owns the daemon's lifetime via Start/stop and collects the
-// event log with WriteRemediationFile.
-func AttachRemediation(env *Env, eng *diagnosis.Engine, cfg remediation.Config) (*remediation.Engine, error) {
-	if eng == nil {
-		return nil, fmt.Errorf("harness: remediation needs a diagnosis engine attached")
-	}
-	if trace.Of(env.S) == nil {
-		return nil, fmt.Errorf("harness: remediation needs a trace recorder attached")
-	}
-	return remediation.Attach(env.S, env.Deployment, eng, cfg), nil
-}
-
-// WriteRemediationFile finalizes a live remediation engine and writes
-// its event log at path: JSONL when the path ends in ".jsonl", the
-// operator-facing text report otherwise.
-func WriteRemediationFile(path string, eng *remediation.Engine) error {
-	if eng == nil {
-		return fmt.Errorf("harness: no remediation engine attached")
-	}
-	return writeReport(path, eng.Finish())
+	rep := eng.Finish()
+	return WriteFile(path, func(w io.Writer) error {
+		if strings.HasSuffix(path, ".jsonl") {
+			return rep.WriteJSONL(w)
+		}
+		return rep.WriteText(w)
+	})
 }
 
 // WriteTelemetryFile exports a sampler's series at path: JSONL by
@@ -317,7 +293,7 @@ func WriteTelemetryFile(path string, sm *telemetry.Sampler) error {
 	if sm == nil {
 		return fmt.Errorf("harness: no telemetry sampler attached")
 	}
-	return writeFile(path, func(w io.Writer) error {
+	return WriteFile(path, func(w io.Writer) error {
 		if strings.HasSuffix(path, ".prom") {
 			return telemetry.WritePrometheus(w, sm.Registry())
 		}

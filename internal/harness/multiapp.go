@@ -3,7 +3,6 @@ package harness
 import (
 	"fmt"
 	"sort"
-	"time"
 
 	"mccs/internal/collective"
 	"mccs/internal/mccsd"
@@ -85,13 +84,9 @@ type MultiAppConfig struct {
 	// Priorities optionally assigns app priorities before comm creation
 	// (used by the QoS experiments that reuse this driver).
 	Priorities map[spec.AppID]int
-	// TelemetryPath, when set, samples the metrics registry during the
-	// first trial and writes the series there (JSONL by default, ".prom"
-	// selects Prometheus text). Later trials run uninstrumented.
-	TelemetryPath string
-	// TelemetryEvery overrides the sampling interval
-	// (telemetry.DefaultInterval when zero).
-	TelemetryEvery time.Duration
+	// Instrument records, samples and diagnoses the first trial; later
+	// trials run uninstrumented.
+	Instrument
 	// Autotune runs the strategy autotuner over every communicator
 	// (in ID order) before the measured loops start, instead of /
 	// in addition to FFA. Service-mode systems only.
@@ -127,7 +122,7 @@ func RunMultiApp(cfg MultiAppConfig) (MultiAppResult, error) {
 	for trial := 0; trial < cfg.Trials; trial++ {
 		tcfg := cfg
 		if trial > 0 {
-			tcfg.TelemetryPath, tcfg.TelemetryEvery = "", 0
+			tcfg.Instrument = Instrument{}
 		}
 		vals, err := runMultiTrial(tcfg, cfg.Seed+uint64(trial)*0x9e3779b97f4a7c15)
 		if err != nil {
@@ -153,8 +148,7 @@ func RunMultiApp(cfg MultiAppConfig) (MultiAppResult, error) {
 }
 
 func runMultiTrial(cfg MultiAppConfig, salt uint64) (map[spec.AppID][]float64, error) {
-	env, err := NewEnv(EnvConfig{System: cfg.System, Salt: salt,
-		Instrument: Instrument{TelemetryPath: cfg.TelemetryPath, TelemetryEvery: cfg.TelemetryEvery}})
+	env, err := NewEnv(EnvConfig{System: cfg.System, Salt: salt, Instrument: cfg.Instrument})
 	if err != nil {
 		return nil, err
 	}

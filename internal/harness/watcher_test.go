@@ -1,3 +1,9 @@
+// These tests pin how the remediation engine reacts to persistent
+// unmanaged (External) traffic, the Fig. 7 trigger: it samples every
+// link's external rate on its own tick, quarantines a link whose
+// external share stays high and moves the tenant off it. They run the
+// engine at a quarter-second cadence so the Fig. 7 phases stay visible
+// in the bandwidth series.
 package harness
 
 import (
@@ -7,7 +13,7 @@ import (
 	"mccs/internal/mccsd"
 	"mccs/internal/ncclsim"
 	"mccs/internal/netsim"
-	"mccs/internal/policy"
+	"mccs/internal/remediation"
 	"mccs/internal/sim"
 	"mccs/internal/topo"
 )
@@ -78,61 +84,118 @@ func phaseMean(series []TimePoint, from, to time.Duration) float64 {
 	return sum / float64(n)
 }
 
-// TestWatcherAutoReversesRing runs the Fig. 7 scenario with no manual
-// intervention: the congestion watcher detects the external flow and
-// reverses the ring by itself, exactly once.
-func TestWatcherAutoReversesRing(t *testing.T) {
-	s, cluster, fabric, dep := newRingWorld(t)
+// watchCongestion starts the remediation engine on link evidence alone
+// (no diagnosis engine) at a 250 ms cadence: three degraded ticks to
+// quarantine, three clean ticks to re-admit.
+func watchCongestion(s *sim.Scheduler, dep *mccsd.Deployment) *remediation.Engine {
+	eng := remediation.Attach(s, dep, nil, remediation.Config{
+		Interval:       250 * time.Millisecond,
+		SuspectAfter:   3,
+		ProbationAfter: 3,
+	})
+	eng.Start(nil)
+	return eng
+}
+
+// count returns how many records of the given action the engine logged
+// on link l (any link when l < 0).
+func count(rep *remediation.Report, action string, l netsim.LinkID) int {
+	n := 0
+	for _, a := range rep.Actions {
+		if a.Action == action && (l < 0 || a.Link == int32(l)) {
+			n++
+		}
+	}
+	return n
+}
+
+func generation(dep *mccsd.Deployment) int {
+	comm, _ := dep.Comm(dep.View()[0].ID)
+	return comm.Runners[0].Generation()
+}
+
+// ringLink returns the inter-switch link from rack a to rack b.
+func ringLink(t *testing.T, cluster *topo.Cluster, a, b topo.RackID) netsim.LinkID {
+	t.Helper()
+	link, err := cluster.RingLinkBetween(a, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return link
+}
+
+// flood saturates the given directed inter-switch hops with 75 Gbps
+// strict-priority external flows lasting dur, starting at at.
+func flood(t *testing.T, s *sim.Scheduler, cluster *topo.Cluster, fabric *netsim.Fabric,
+	at, dur time.Duration, hops ...[2]topo.RackID) {
+	t.Helper()
+	const rate = 75 * topo.Gbps
+	var links []netsim.LinkID
+	for _, h := range hops {
+		links = append(links, ringLink(t, cluster, h[0], h[1]))
+	}
+	s.At(sim.Time(at), func() {
+		for _, link := range links {
+			l := cluster.Net.Link(link)
+			fabric.StartFlow(netsim.FlowOpts{
+				Src: l.From, Dst: l.To,
+				Bytes: rate * dur.Seconds(),
+				Route: []netsim.LinkID{link}, FixedRate: rate,
+				External: true,
+			})
+		}
+	})
+}
+
+// ringJob starts the Fig. 7 job: every GPU of the switch ring in one
+// looping 128 MB AllReduce.
+func ringJob(t *testing.T, s *sim.Scheduler, dep *mccsd.Deployment, cluster *topo.Cluster) *[]TimePoint {
 	var gpus []topo.GPUID
 	for _, h := range cluster.Hosts {
 		gpus = append(gpus, h.GPUs...)
 	}
-	series := startLoopingJob(t, s, dep, cluster, gpus, 128<<20)
+	return startLoopingJob(t, s, dep, cluster, gpus, 128<<20)
+}
 
-	watcher := policy.NewController(dep).NewCongestionWatcher()
-	watcher.Start(nil)
+// TestWatcherAutoReversesRing runs the Fig. 7 scenario with no manual
+// intervention: the engine sees the external flow, quarantines the link
+// and reverses the ring by itself, exactly once. Once reversed, the
+// ring no longer sends over the link, so the ladder stops there even
+// though the old forward connections still cross it, idle.
+func TestWatcherAutoReversesRing(t *testing.T) {
+	s, cluster, fabric, dep := newRingWorld(t)
+	series := ringJob(t, s, dep, cluster)
+	eng := watchCongestion(s, dep)
 
-	// External 75 Gbps flow on a clockwise inter-switch link at t=3s.
-	s.At(sim.Time(3*time.Second), func() {
-		link, err := cluster.RingLinkBetween(1, 2)
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		l := cluster.Net.Link(link)
-		fabric.StartFlow(netsim.FlowOpts{
-			Src: l.From, Dst: l.To, Bytes: 0,
-			Route: []netsim.LinkID{link}, FixedRate: 75 * topo.Gbps,
-			External: true,
-		})
-	})
+	// External 75 Gbps flow on a clockwise inter-switch link at t=3s,
+	// lasting past the end of the run.
+	flood(t, s, cluster, fabric, 3*time.Second, time.Hour, [2]topo.RackID{1, 2})
 	if err := s.RunUntil(sim.Time(10 * time.Second)); err != nil {
 		t.Fatal(err)
 	}
 
 	healthy := phaseMean(*series, 500*time.Millisecond, 3*time.Second)
-	// The watcher needs Consecutive x Interval ~ 750ms to call it
+	// The engine needs SuspectAfter x Interval = 750ms to call it
 	// persistent; allow 1.5s, then expect recovery.
 	recovered := phaseMean(*series, 6*time.Second, 10*time.Second)
 	if healthy == 0 || recovered == 0 {
 		t.Fatalf("missing samples (healthy %.3g, recovered %.3g)", healthy, recovered)
 	}
+	t.Logf("healthy %.2f GB/s, recovered %.2f GB/s", healthy/1e9, recovered/1e9)
 	if recovered < 0.9*healthy {
-		t.Errorf("watcher did not restore bandwidth: %.3g -> %.3g", healthy, recovered)
+		t.Errorf("engine did not restore bandwidth: %.3g -> %.3g", healthy, recovered)
 	}
-	if watcher.Remediations != 1 {
-		t.Errorf("remediations = %d, want exactly 1 (no flapping)", watcher.Remediations)
+	rep := eng.Finish()
+	if got := rep.RecoveryActions(); len(got) != 1 || got[0].Action != "reverse" {
+		t.Errorf("recovery actions = %+v, want exactly one reverse (no escalation)", got)
 	}
-	// The reversal really happened (generation advanced).
-	view := dep.View()
-	comm, _ := dep.Comm(view[0].ID)
-	if comm.Runners[0].Generation() != 1 {
-		t.Errorf("generation = %d, want 1", comm.Runners[0].Generation())
+	if g := generation(dep); g != 1 {
+		t.Errorf("generation = %d, want 1", g)
 	}
 }
 
-// TestWatcherReroutesOnClos: in a spine-leaf fabric the watcher prefers an
-// immediate route re-pin over a ring reversal — path diversity exists.
+// TestWatcherReroutesOnClos: in a spine-leaf fabric the engine prefers
+// an immediate route re-pin over a ring reversal — path diversity exists.
 func TestWatcherReroutesOnClos(t *testing.T) {
 	env := newTestEnv(t, EnvConfig{System: ncclsim.MCCS})
 	gpus, err := SingleAppGPUs(env.Cluster, 4)
@@ -140,9 +203,7 @@ func TestWatcherReroutesOnClos(t *testing.T) {
 		t.Fatal(err)
 	}
 	series := startLoopingJob(t, env.S, env.Deployment, env.Cluster, gpus, 32<<20)
-
-	watcher := policy.NewController(env.Deployment).NewCongestionWatcher()
-	watcher.Start(nil)
+	eng := watchCongestion(env.S, env.Deployment)
 
 	// External flow saturating leaf0->spine0 (the pinned path of the
 	// job's channel 0) at t=2s.
@@ -170,111 +231,121 @@ func TestWatcherReroutesOnClos(t *testing.T) {
 		t.Errorf("reroute did not restore bandwidth: %.3g -> %.3g", healthy, recovered)
 	}
 	// Route re-pin, not a reconfiguration: generation stays 0.
-	view := env.Deployment.View()
-	comm, _ := env.Deployment.Comm(view[0].ID)
-	if comm.Runners[0].Generation() != 0 {
-		t.Errorf("generation = %d, want 0 (reroute should not reconfigure)", comm.Runners[0].Generation())
+	if g := generation(env.Deployment); g != 0 {
+		t.Errorf("generation = %d, want 0 (reroute should not reconfigure)", g)
 	}
-	if watcher.Remediations != 1 {
-		t.Errorf("remediations = %d, want 1", watcher.Remediations)
+	if got := eng.Finish().RecoveryActions(); len(got) != 1 || got[0].Action != "repin" {
+		t.Errorf("recovery actions = %+v, want exactly one repin", got)
 	}
 }
 
-// floodRingHop saturates both directions of the inter-switch hop between
-// ring switches a and b with strict-priority external flows lasting dur.
-// Congesting both directions keeps the job's ring exposed whichever way
-// it currently runs, so a later episode on the same hop must re-trigger
-// the watcher even after an earlier reversal moved the ring off one
-// direction.
-func floodRingHop(t *testing.T, s *sim.Scheduler, cluster *topo.Cluster, fabric *netsim.Fabric,
-	a, b topo.RackID, at, dur time.Duration) {
-	t.Helper()
-	const rate = 75 * topo.Gbps
-	s.At(sim.Time(at), func() {
-		for _, pair := range [][2]topo.RackID{{a, b}, {b, a}} {
-			link, err := cluster.RingLinkBetween(pair[0], pair[1])
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			l := cluster.Net.Link(link)
-			fabric.StartFlow(netsim.FlowOpts{
-				Src: l.From, Dst: l.To,
-				Bytes: rate * dur.Seconds(),
-				Route: []netsim.LinkID{link}, FixedRate: rate,
-				External: true,
-			})
-		}
-	})
-}
-
-// TestWatcherReArmsAfterEpisode is the regression test for the
-// remediated-latch bug: the watcher used to mark a link remediated and
-// never clear it, so a second, entirely separate congestion episode on
-// the same hop was ignored forever. With hysteresis re-arm (Consecutive
-// clean scans), two well-separated episodes must yield exactly two
-// remediations.
+// TestWatcherReArmsAfterEpisode: each separate congestion episode on a
+// link is handled on its own. The flood follows the ring: 1->2, then
+// 2->1 (where the first reversal moved it), then 1->2 again. Link 1->2
+// goes through two whole quarantine/re-admit episodes with one reversal
+// each, so a link latched after its first episode would show here.
 func TestWatcherReArmsAfterEpisode(t *testing.T) {
 	s, cluster, fabric, dep := newRingWorld(t)
-	var gpus []topo.GPUID
-	for _, h := range cluster.Hosts {
-		gpus = append(gpus, h.GPUs...)
-	}
-	startLoopingJob(t, s, dep, cluster, gpus, 128<<20)
+	ringJob(t, s, dep, cluster)
+	eng := watchCongestion(s, dep)
 
-	watcher := policy.NewController(dep).NewCongestionWatcher()
-	watcher.Start(nil)
-
-	// Episode 1: [2s, 4s). The watcher needs Consecutive x Interval =
-	// 750ms to call it persistent, then reverses the ring. The hop stays
-	// clean for 4s afterwards — far more than the Consecutive clean
-	// scans the re-arm hysteresis requires.
-	floodRingHop(t, s, cluster, fabric, 1, 2, 2*time.Second, 2*time.Second)
-	// Episode 2: [8s, 10s) on the same hop.
-	floodRingHop(t, s, cluster, fabric, 1, 2, 8*time.Second, 2*time.Second)
-
-	if err := s.RunUntil(sim.Time(12 * time.Second)); err != nil {
+	fwd, back := [2]topo.RackID{1, 2}, [2]topo.RackID{2, 1}
+	flood(t, s, cluster, fabric, 2*time.Second, 2*time.Second, fwd)
+	flood(t, s, cluster, fabric, 6*time.Second, 2*time.Second, back)
+	flood(t, s, cluster, fabric, 10*time.Second, 2*time.Second, fwd)
+	if err := s.RunUntil(sim.Time(14 * time.Second)); err != nil {
 		t.Fatal(err)
 	}
-	if watcher.Remediations != 2 {
-		t.Errorf("remediations = %d, want 2 (one per episode; the old latched watcher never re-armed and stops at 1)",
-			watcher.Remediations)
+
+	rep := eng.Finish()
+	l12, l21 := ringLink(t, cluster, 1, 2), ringLink(t, cluster, 2, 1)
+	for _, c := range []struct {
+		link netsim.LinkID
+		name string
+		want int
+	}{{l12, "1->2", 2}, {l21, "2->1", 1}} {
+		for _, action := range []string{"quarantine", "readmit", "reverse"} {
+			if got := count(rep, action, c.link); got != c.want {
+				t.Errorf("link %s: %d %s records, want %d", c.name, got, action, c.want)
+			}
+		}
 	}
-	view := dep.View()
-	comm, _ := dep.Comm(view[0].ID)
-	if g := comm.Runners[0].Generation(); g != 2 {
-		t.Errorf("generation = %d, want 2 (one reversal per episode)", g)
+	if got := len(rep.RecoveryActions()); got != 3 {
+		t.Errorf("%d recovery actions, want 3 (one reversal per episode)", got)
+	}
+	if g := generation(dep); g != 3 {
+		t.Errorf("generation = %d, want 3 (one reversal per episode)", g)
 	}
 }
 
-// TestWatcherFlappingHysteresis guards the other side of the re-arm fix:
-// a flow flapping around ExternalFraction with sub-Consecutive clean
-// gaps is ONE episode. A naive single-clean-scan re-arm would reverse
-// the ring on every burst; the hysteresis must keep it to exactly one
-// remediation.
+// TestWatcherFlappingHysteresis: a flow flapping on and off with gaps
+// shorter than the probation window is ONE episode. The link relapses
+// from probation into the same quarantine, so the ring is reversed once,
+// not on every burst.
 func TestWatcherFlappingHysteresis(t *testing.T) {
 	s, cluster, fabric, dep := newRingWorld(t)
-	var gpus []topo.GPUID
-	for _, h := range cluster.Hosts {
-		gpus = append(gpus, h.GPUs...)
-	}
-	startLoopingJob(t, s, dep, cluster, gpus, 128<<20)
+	ringJob(t, s, dep, cluster)
+	eng := watchCongestion(s, dep)
 
-	watcher := policy.NewController(dep).NewCongestionWatcher()
-	watcher.Start(nil)
-
-	// One flapping episode: 1s hot bursts (>= Consecutive hot scans at
-	// 250ms intervals) separated by 300ms gaps (1-2 clean scans, below
-	// the Consecutive=3 the re-arm hysteresis requires).
-	floodRingHop(t, s, cluster, fabric, 1, 2, 2*time.Second, time.Second)
-	floodRingHop(t, s, cluster, fabric, 1, 2, 3300*time.Millisecond, time.Second)
-	floodRingHop(t, s, cluster, fabric, 1, 2, 4600*time.Millisecond, time.Second)
-
+	// 1s hot bursts (>= SuspectAfter hot ticks at 250ms) separated by
+	// 300ms gaps (1-2 clean ticks, below ProbationAfter=3).
+	hop := [2]topo.RackID{1, 2}
+	flood(t, s, cluster, fabric, 2*time.Second, time.Second, hop)
+	flood(t, s, cluster, fabric, 3300*time.Millisecond, time.Second, hop)
+	flood(t, s, cluster, fabric, 4600*time.Millisecond, time.Second, hop)
 	if err := s.RunUntil(sim.Time(9 * time.Second)); err != nil {
 		t.Fatal(err)
 	}
-	if watcher.Remediations != 1 {
-		t.Errorf("remediations = %d, want exactly 1 (flapping inside one episode must not re-trigger)",
-			watcher.Remediations)
+
+	rep := eng.Finish()
+	if got := count(rep, "quarantine", -1); got != 1 {
+		t.Errorf("%d quarantines, want exactly 1 (flapping inside one episode must not re-trigger)", got)
+	}
+	if got := rep.RecoveryActions(); len(got) != 1 || got[0].Action != "reverse" {
+		t.Errorf("recovery actions = %+v, want exactly one reverse", got)
+	}
+}
+
+// TestWatcherBothDirectionsBounded floods both directions of one hop
+// in two separate episodes. No ring direction escapes the flood, so
+// the ladder keeps escalating: the bound pinned here is MaxActions
+// ladder actions per link and episode, not a single reversal.
+func TestWatcherBothDirectionsBounded(t *testing.T) {
+	s, cluster, fabric, dep := newRingWorld(t)
+	ringJob(t, s, dep, cluster)
+	eng := watchCongestion(s, dep)
+
+	hops := [][2]topo.RackID{{1, 2}, {2, 1}}
+	flood(t, s, cluster, fabric, 2*time.Second, 2*time.Second, hops...)
+	flood(t, s, cluster, fabric, 8*time.Second, 2*time.Second, hops...)
+	if err := s.RunUntil(sim.Time(12 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+
+	maxActions := remediation.DefaultConfig().MaxActions
+	rep := eng.Finish()
+	perEpisode := map[int32]int{}
+	episodes := 0
+	for _, a := range rep.Actions {
+		switch a.Action {
+		case "quarantine":
+			perEpisode[a.Link] = 0
+			episodes++
+		case "readmit":
+			delete(perEpisode, a.Link)
+		default:
+			if perEpisode[a.Link]++; perEpisode[a.Link] > maxActions {
+				t.Errorf("link %s: more than %d ladder actions in one episode: %+v", a.LinkName, maxActions, rep.Actions)
+			}
+		}
+	}
+	if episodes < 2 {
+		t.Errorf("%d quarantine episodes, want at least one per flood", episodes)
+	}
+	for _, a := range rep.RecoveryActions() {
+		t.Logf("%v %s on %s", a.At.Sub(0), a.Action, a.LinkName)
+	}
+	if len(rep.RecoveryActions()) == 0 {
+		t.Error("no recovery action: the engine ignored the flood")
 	}
 }

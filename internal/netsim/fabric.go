@@ -222,6 +222,7 @@ type Fabric struct {
 	// order).
 	groups     []*Group
 	nPriority  int // active strict-priority flows
+	nExternal  int // active flows marked External
 	nextFlowID int
 	nextGroup  int
 
@@ -357,6 +358,9 @@ func (fb *Fabric) StartFlow(o FlowOpts) Flow {
 	if fl.priority {
 		fb.nPriority++
 	}
+	if fl.external {
+		fb.nExternal++
+	}
 	if g := fl.group; g != nil {
 		if len(g.members) == 0 {
 			fb.insertGroup(g)
@@ -480,6 +484,9 @@ func (fb *Fabric) remove(fl *flow) {
 	if fl.priority {
 		fb.nPriority--
 	}
+	if fl.external {
+		fb.nExternal--
+	}
 	if g := fl.group; g != nil {
 		for j, m := range g.members {
 			if m == fl {
@@ -555,6 +562,12 @@ func (fb *Fabric) ExternalRate(l LinkID) float64 {
 	fb.flush()
 	return fb.externalRate[l]
 }
+
+// ExternalFlows returns the number of in-flight flows marked External.
+// Unlike ExternalRate it does not flush, so a monitor can poll it every
+// tick without perturbing the schedule and read rates only while
+// unmanaged traffic is actually on the fabric.
+func (fb *Fabric) ExternalFlows() int { return fb.nExternal }
 
 // LinkUtilization returns allocated rate / capacity for link l.
 func (fb *Fabric) LinkUtilization(l LinkID) float64 {

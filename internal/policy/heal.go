@@ -5,11 +5,10 @@ import (
 	"mccs/internal/spec"
 )
 
-// This file holds the controller's link-recovery moves. They started as
-// the congestion watcher's private remediation path; the self-healing
-// remediation engine (internal/remediation) drives the same moves from
-// diagnosis verdicts, so they are exported Controller methods shared by
-// both consumers.
+// This file holds the controller's link-recovery moves. The self-healing
+// remediation engine (internal/remediation) drives them when a link
+// degrades, whether from lost capacity, persistent unmanaged traffic or
+// a diagnosis verdict.
 
 // Remedy identifies which recovery move was applied to a communicator.
 type Remedy uint8
@@ -57,6 +56,45 @@ func (c *Controller) AffectedConns(ci spec.CommInfo, bad map[netsim.LinkID]bool)
 		}
 	}
 	return affected
+}
+
+// RingExposed reports whether a forward-ring connection of any channel
+// crosses one of the links. Every collective but Reduce sends along the
+// forward ring, so this is the exposure a recovery move must remove. The
+// reverse-direction connections AffectedConns also returns stay in place
+// across a ring reversal, idle, on the very link the reversal moved
+// traffic off; counting them would keep a quiesced ladder escalating.
+// The price is that Reduce traffic is invisible here: a comm whose only
+// connections on the link are reverse-direction ones (after a reversal,
+// or on a Clos re-pin of the forward ring alone) counts as not exposed.
+func (c *Controller) RingExposed(ci spec.CommInfo, bad map[netsim.LinkID]bool) bool {
+	comm, ok := c.dep.Comm(ci.ID)
+	if !ok {
+		return false
+	}
+	chans := comm.Strategy().Channels
+	for key, path := range comm.ConnRoutes() {
+		if key.Channel >= len(chans) || !forward(chans[key.Channel].Order, key) {
+			continue
+		}
+		for _, l := range path {
+			if bad[l] {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// forward reports whether the connection sends from a rank to its
+// successor in the ring order.
+func forward(order []int, key spec.ConnKey) bool {
+	for i, r := range order {
+		if r == key.FromRank {
+			return order[(i+1)%len(order)] == key.ToRank
+		}
+	}
+	return false
 }
 
 // RepinOrReverse moves the affected connections off the bad links:
@@ -133,4 +171,26 @@ func (c *Controller) Degrade(ci spec.CommInfo) error {
 	}
 	_, err := c.dep.ReconfigureAsync(ci.ID, deg, nil)
 	return err
+}
+
+// cleanPath returns the index of the first equal-cost path between the
+// endpoints that avoids all congested links.
+func cleanPath(net *netsim.Network, src, dst netsim.NodeID, bad map[netsim.LinkID]bool) (int, bool) {
+	paths := net.PathsBetween(src, dst)
+	if len(paths) < 2 {
+		return 0, false
+	}
+	for i, p := range paths {
+		clean := true
+		for _, l := range p {
+			if bad[l] {
+				clean = false
+				break
+			}
+		}
+		if clean {
+			return i, true
+		}
+	}
+	return 0, false
 }

@@ -390,8 +390,8 @@ func (c *Comm) UpdateRoutes(routes map[spec.ConnKey]int) error {
 
 // ConnRoutes reports, for every inter-host connection of the newest
 // generation, the fabric links its messages currently traverse. This is
-// the mapping a congestion watcher needs to attribute link load to
-// communicators.
+// the mapping the remediation engine needs to attribute a degraded link
+// to communicators.
 func (c *Comm) ConnRoutes() map[spec.ConnKey][]netsim.LinkID {
 	cs := c.newest()
 	out := make(map[spec.ConnKey][]netsim.LinkID)

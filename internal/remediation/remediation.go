@@ -7,13 +7,18 @@
 // orchestrator-mediated reconfiguration.
 //
 // The paper's Fig. 7 story has a centralized manager pushing new
-// strategies to MCCS when links misbehave; PR 9's diagnosis engine
-// attributes faults to root causes but is report-only. This engine is
-// the manager: verdicts become actions.
+// strategies to MCCS when links misbehave: "a switch agent can be
+// configured to report to a centralized manager when there are
+// persistent large flows that are not managed by MCCS". The diagnosis
+// engine attributes faults to root causes but is report-only. This
+// engine is the manager, and the only recovery loop: verdicts, lost
+// link capacity and unmanaged traffic all become actions.
 //
-// Robustness semantics (production-shaped, per ISSUE 10):
+// Robustness semantics:
 //
-//   - Link quarantine with probation and re-admission. Each link walks
+//   - Link quarantine with probation and re-admission. A link is
+//     degraded while it runs below nominal capacity or carries external
+//     (unmanaged) traffic at half its capacity or more. Each link walks
 //     healthy → suspect → quarantined → probation → healthy; a link
 //     that degrades again during probation returns to quarantined
 //     within the same episode.
@@ -342,13 +347,28 @@ func (e *Engine) openEpisode(k epKey, ev *causeEvent, now sim.Time) {
 	ep.lastSeen = now
 }
 
+// externalShare is the share of a link's capacity that unmanaged
+// (External) traffic must take for the link to count as degraded: the
+// paper's "persistent large flows that are not managed by MCCS" that a
+// switch agent reports to the centralized manager.
+const externalShare = 0.5
+
 // degraded reports whether link l currently runs below its nominal
-// capacity minus tolerance.
+// capacity minus tolerance, or carries unmanaged traffic taking at least
+// externalShare of its capacity.
 func (e *Engine) degraded(l netsim.LinkID) bool {
 	if e.nominal[l] <= 0 {
 		return false
 	}
-	return e.dep.Cluster.Net.Link(l).Capacity < e.nominal[l]*(1-e.cfg.LinkTolerance)
+	capacity := e.dep.Cluster.Net.Link(l).Capacity
+	if capacity < e.nominal[l]*(1-e.cfg.LinkTolerance) {
+		return true
+	}
+	// ExternalRate flushes pending fabric changes, which re-arms the
+	// completion timer mid-instant; ask only while an external flow is
+	// live so runs without one keep their exact schedule.
+	fb := e.dep.Fabric
+	return fb.ExternalFlows() > 0 && fb.ExternalRate(l) >= externalShare*capacity
 }
 
 // scanLinks walks every link's quarantine state machine off the current
@@ -457,16 +477,16 @@ func (e *Engine) actOnLinks(p *sim.Proc, now sim.Time) {
 		}
 		l := netsim.LinkID(i)
 		bad := map[netsim.LinkID]bool{l: true}
-		// The ladder only fires while some communicator still routes
-		// over the quarantined link: a successful move quiesces it.
-		affected := false
+		// The ladder only fires while some communicator's ring still
+		// sends over the quarantined link: a successful move quiesces it.
+		exposed := false
 		for _, ci := range e.dep.View() {
-			if len(e.ctrl.AffectedConns(ci, bad)) > 0 {
-				affected = true
+			if e.ctrl.RingExposed(ci, bad) {
+				exposed = true
 				break
 			}
 		}
-		if !affected {
+		if !exposed {
 			continue
 		}
 		if st.ep.attempts >= e.cfg.MaxActions {
@@ -481,27 +501,32 @@ func (e *Engine) actOnLinks(p *sim.Proc, now sim.Time) {
 			rung = 2
 		}
 		for _, ci := range e.dep.View() {
-			aff := e.ctrl.AffectedConns(ci, bad)
-			if len(aff) == 0 {
+			if !e.ctrl.RingExposed(ci, bad) {
 				continue
 			}
+			rec := ActionRecord{
+				At: now, Cause: "congested-link",
+				Link: int32(l), LinkName: e.linkNames[l], Comm: int32(ci.ID), Rank: -1,
+				Escalation: st.ep.attempts, Detected: st.ep.opened,
+			}
+			var code int32
 			switch rung {
 			case 0:
+				// Move every affected connection, the idle reverse
+				// direction included. After a re-pin a later Reduce
+				// avoids the link too; after a ring reversal the new
+				// reverse direction is the old forward ring, so Reduce
+				// still crosses it (RingExposed ignores Reduce traffic).
+				aff := e.ctrl.AffectedConns(ci, bad)
 				rem := e.ctrl.RepinOrReverse(ci, aff, bad)
-				code := trace.RemedRepin
-				if rem == policy.RemedyReverse {
-					code = trace.RemedReverse
-				}
 				if rem == policy.RemedyFailed {
 					continue
 				}
-				e.record(ActionRecord{
-					At: now, Action: trace.RemedName(code), Cause: "congested-link",
-					Link: int32(l), LinkName: e.linkNames[l], Comm: int32(ci.ID), Rank: -1,
-					Escalation: st.ep.attempts, Detected: st.ep.opened,
-					Detail: fmt.Sprintf("moved %d connections off %s", len(aff), e.linkNames[l]),
-				})
-				e.emit(code, now, int32(l), int32(ci.ID), -1)
+				code = trace.RemedRepin
+				if rem == policy.RemedyReverse {
+					code = trace.RemedReverse
+				}
+				rec.Detail = fmt.Sprintf("moved %d connections off %s", len(aff), e.linkNames[l])
 			case 1:
 				if _, err := e.ctrl.Autotune(p, ci.ID, policy.AutotuneOptions{
 					Bytes:       e.cfg.RetuneBytes,
@@ -509,24 +534,16 @@ func (e *Engine) actOnLinks(p *sim.Proc, now sim.Time) {
 				}); err != nil {
 					continue
 				}
-				e.record(ActionRecord{
-					At: now, Action: "retune", Cause: "congested-link",
-					Link: int32(l), LinkName: e.linkNames[l], Comm: int32(ci.ID), Rank: -1,
-					Escalation: st.ep.attempts, Detected: st.ep.opened,
-				})
-				e.emit(trace.RemedRetune, now, int32(l), int32(ci.ID), -1)
+				code = trace.RemedRetune
 			case 2:
 				if err := e.ctrl.Degrade(ci); err != nil {
 					continue
 				}
-				e.record(ActionRecord{
-					At: now, Action: "degrade", Cause: "congested-link",
-					Link: int32(l), LinkName: e.linkNames[l], Comm: int32(ci.ID), Rank: -1,
-					Escalation: st.ep.attempts, Detected: st.ep.opened,
-					Detail: "reduced to single-channel ECMP strategy",
-				})
-				e.emit(trace.RemedDegrade, now, int32(l), int32(ci.ID), -1)
+				code, rec.Detail = trace.RemedDegrade, "reduced to single-channel ECMP strategy"
 			}
+			rec.Action = trace.RemedName(code)
+			e.record(rec)
+			e.emit(code, now, int32(l), int32(ci.ID), -1)
 		}
 		st.ep.nextAllowed = now.Add(st.ep.backoff(&e.cfg))
 		st.ep.attempts++
